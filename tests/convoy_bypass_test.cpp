@@ -357,6 +357,12 @@ using workload::run_experiment;
 constexpr std::uint64_t kLegacyDigest = 4047494388130711496ULL;
 constexpr std::uint64_t kLegacyCommitted = 60;
 
+/// Frozen digest of the bypass-on run (reorder threshold 0), recorded
+/// before the server's completion paths were merged; any drift means a
+/// refactor changed the bypass path's behaviour.
+constexpr std::uint64_t kBypassOnDigest = 16757525269569179388ULL;
+constexpr std::uint64_t kBypassOnCommitted = 75;
+
 std::uint64_t digest_writer(const util::Writer& w) {
   const util::Bytes& b = w.data();
   return util::fnv1a(std::string_view(reinterpret_cast<const char*>(b.data()), b.size()));
@@ -486,6 +492,8 @@ TEST(ConvoyBypass, BypassOnConvergesUnderChaosAndCheckpointInstalls) {
   EXPECT_EQ(r.pending_total, 0u) << "every pending global resolved after heal";
   EXPECT_GT(r.stats.bypassed_locals, 0u)
       << "locals really committed past pending globals under chaos";
+  EXPECT_EQ(r.digest, kBypassOnDigest) << "the bypass-on path drifted";
+  EXPECT_EQ(r.committed, kBypassOnCommitted);
 #if SDUR_AUDIT_ON
   // The run's bypass decisions were cross-checked in place: lane-index
   // gate equivalence, sweep serial-equivalence, park-gate determinism

@@ -19,9 +19,10 @@
 //     churn, checkpoints, 40% globals over 3 partitions) with speculation
 //     on converges — replicas byte-equal, no outstanding speculative
 //     versions, real finalizes AND real rollbacks happened.
-//  5. Golden pin: the same recipe with speculation off (the default)
+//  5. Golden pins: the same recipe with speculation off (the default)
 //     reproduces the pre-speculation digest bit-for-bit — the layer is
-//     provably inert when disabled.
+//     provably inert when disabled — and the speculation-on and `all-on`
+//     runs reproduce their own frozen digests.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -32,6 +33,7 @@
 
 #include "audit/audit.h"
 #include "sdur/certifier.h"
+#include "sdur/technique_config.h"
 #include "storage/mvstore.h"
 #include "util/hash.h"
 #include "util/rng.h"
@@ -310,6 +312,15 @@ using workload::run_experiment;
 constexpr std::uint64_t kLegacyDigest = 4047494388130711496ULL;
 constexpr std::uint64_t kLegacyCommitted = 60;
 
+/// Frozen digests of the technique-on runs of the same recipe: speculation
+/// alone (reorder threshold 0, so finalizes and rollbacks both happen) and
+/// the `all-on` preset. Recorded before the server's completion paths were
+/// merged; any drift means a refactor changed the ON paths' behaviour.
+constexpr std::uint64_t kSpecOnDigest = 10104797344788945067ULL;
+constexpr std::uint64_t kSpecOnCommitted = 166;
+constexpr std::uint64_t kAllOnDigest = 11368708055229412541ULL;
+constexpr std::uint64_t kAllOnCommitted = 170;
+
 std::uint64_t digest_writer(const util::Writer& w) {
   const util::Bytes& b = w.data();
   return util::fnv1a(std::string_view(reinterpret_cast<const char*>(b.data()), b.size()));
@@ -350,15 +361,14 @@ struct ChaosOut {
 /// to the recipe's 24 (the golden pin needs the exact legacy
 /// configuration); the speculation-on run uses 0 so the vote wait the
 /// speculation hides is undiluted.
-ChaosOut run_chaos(bool speculation, std::uint32_t reorder_threshold = 24) {
+ChaosOut run_chaos_with(const TechniqueConfig& techniques) {
   DeploymentSpec spec;
   spec.partitions = 3;
   spec.partitioning = MicroWorkload::make_partitioning(3, 90);
   spec.log_write_latency = sim::usec(300);
-  spec.server.reorder_threshold = reorder_threshold;
+  spec.server.techniques = techniques;
   spec.server.checkpoint_interval = sim::msec(500);
   spec.server.missing_vote_timeout = sim::msec(1500);
-  spec.server.speculation = speculation;
   spec.seed = 17;
   spec.client.read_retry_interval = sim::msec(300);
   spec.client.commit_retry_interval = sim::msec(800);
@@ -426,6 +436,13 @@ ChaosOut run_chaos(bool speculation, std::uint32_t reorder_threshold = 24) {
   return out;
 }
 
+ChaosOut run_chaos(bool speculation, std::uint32_t reorder_threshold = 24) {
+  TechniqueConfig techniques;
+  techniques.reorder_threshold = reorder_threshold;
+  techniques.speculation = speculation;
+  return run_chaos_with(techniques);
+}
+
 TEST(Speculation, SpeculationOffMatchesLegacyGolden) {
   const ChaosOut r = run_chaos(false);
   EXPECT_EQ(r.digest, kLegacyDigest)
@@ -446,12 +463,25 @@ TEST(Speculation, SpeculationOnConvergesUnderChaosAndCheckpointInstalls) {
   EXPECT_GT(r.stats.speculated_globals, 0u) << "globals really speculated under chaos";
   EXPECT_GT(r.stats.spec_commits, 0u);
   EXPECT_GT(r.stats.spec_aborts, 0u) << "real rollbacks happened under chaos";
+  EXPECT_EQ(r.digest, kSpecOnDigest) << "the speculation-on path drifted";
+  EXPECT_EQ(r.committed, kSpecOnCommitted);
 #if SDUR_AUDIT_ON
   // Version order, spec-floor, certification determinism and the rest of
   // the in-run cross-checks all held while speculating under crashes,
   // losses and checkpoint installs.
   EXPECT_TRUE(audit::Auditor::instance().clean()) << audit::Auditor::instance().summary();
 #endif
+}
+
+TEST(Speculation, AllOnMatchesPinnedDigest) {
+  const ChaosOut r = run_chaos_with(*TechniqueConfig::preset("all-on"));
+  EXPECT_TRUE(r.agree) << "replicas of each partition converged byte-for-byte";
+  EXPECT_EQ(r.pending_total, 0u);
+  EXPECT_EQ(r.spec_outstanding, 0u);
+  EXPECT_GT(r.stats.speculated_globals, 0u);
+  EXPECT_GT(r.stats.vote_batches_sent, 0u);
+  EXPECT_EQ(r.digest, kAllOnDigest) << "the all-on path drifted";
+  EXPECT_EQ(r.committed, kAllOnCommitted);
 }
 
 }  // namespace e2e
