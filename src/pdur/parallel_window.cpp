@@ -130,7 +130,7 @@ bool ParallelWindow::conflicts(const util::KeySet& readset, const util::KeySet& 
   return false;
 }
 
-// --- Out-of-order local commit (cfg.ooo_bypass) -------------------------------
+// --- Out-of-order local commit (cfg.techniques.ooo_bypass) --------------------
 
 void ParallelWindow::pending_insert(storage::Version v, const util::KeySet& write_keys) {
   // One insert per home lane of the write set, carrying the lane's

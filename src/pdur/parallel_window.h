@@ -66,7 +66,7 @@ class ParallelWindow {
 
   void clear();
 
-  // --- Out-of-order local commit (cfg.ooo_bypass) -------------------------
+  // --- Out-of-order local commit (cfg.techniques.ooo_bypass) --------------
   /// Per-lane sub-indexes over the write keys of the still-pending
   /// entries — the per-core decomposition of the certifier's pending-write
   /// bypass gate. Write keys are always exact; versions arrive ascending

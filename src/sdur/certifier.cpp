@@ -200,7 +200,7 @@ PendingEntry Certifier::pop_head() {
   return e;
 }
 
-// --- Out-of-order local commit (cfg.ooo_bypass) -------------------------------
+// --- Out-of-order local commit (cfg.techniques.ooo_bypass) --------------------
 
 bool Certifier::pending_writes_conflict(const PartTx& t) const {
   // O(sets) existence probe with snapshot 0: versions start at 1, so "some
@@ -323,20 +323,17 @@ void Certifier::mark_ready(Version v) {
 }
 
 void Certifier::resolve(const PendingEntry& entry, bool committed) {
-  resolve(entry.version, entry.tx.id, committed);
-}
-
-void Certifier::resolve(Version v, TxId owner, bool committed) {
+  const Version v = entry.version;
   if (v < base_ || v > cc_) return;
   // A slot is resolved exactly once, by the transaction that owns it.
   SDUR_AUDIT_CHECK("certifier", "resolve-once",
                    slots_[static_cast<std::size_t>(v - base_)].status == SlotStatus::kPending,
-                   "version " << v << " (tx " << owner << ") resolved twice");
+                   "version " << v << " (tx " << entry.tx.id << ") resolved twice");
   SDUR_AUDIT_CHECK("certifier", "resolve-owner",
-                   slots_[static_cast<std::size_t>(v - base_)].txid == owner,
+                   slots_[static_cast<std::size_t>(v - base_)].txid == entry.tx.id,
                    "version " << v << " owned by tx "
                               << slots_[static_cast<std::size_t>(v - base_)].txid
-                              << " resolved by tx " << owner);
+                              << " resolved by tx " << entry.tx.id);
   slots_[static_cast<std::size_t>(v - base_)].status =
       committed ? SlotStatus::kCommitted : SlotStatus::kAborted;
   // Advance the stable prefix over contiguously resolved slots.

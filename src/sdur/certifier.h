@@ -72,9 +72,9 @@ struct PendingEntry {
   /// committed local) before its cores finished. Always true in the serial
   /// model.
   bool ready = true;
-  /// Out-of-order bypass (cfg.ooo_bypass): the completed-global watermark
-  /// this local must wait for before it may commit out of order — the
-  /// largest version among pending entries ahead whose write set it
+  /// Out-of-order bypass (cfg.techniques.ooo_bypass): the completed-global
+  /// watermark this local must wait for before it may commit out of order
+  /// — the largest version among pending entries ahead whose write set it
   /// conflicts with (inheriting the bound of conflicting pending locals).
   /// 0 = unparked (versions start at 1). Globals never bypass, so the
   /// field is meaningless for them. Computed at certification and
@@ -149,7 +149,7 @@ class Certifier {
   /// work completed). No-op if the entry already left the list.
   void mark_ready(Version v);
 
-  // --- Out-of-order local commit (cfg.ooo_bypass) -------------------------
+  // --- Out-of-order local commit (cfg.techniques.ooo_bypass) --------------
   /// "No pending entry" sentinel for next_bypassable().
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
   /// True when the bypass gate is armed.
@@ -167,14 +167,11 @@ class Certifier {
   PendingEntry take_at(std::size_t pos);
 
   // --- Resolution ----------------------------------------------------------
-  /// Resolves a completed transaction's slot (after the caller popped it
-  /// from the pending list and, on commit, applied its writes at
-  /// entry.version). Advances the stable prefix.
+  /// Resolves a completed transaction's slot (after the caller took it
+  /// off the pending list — at completion, or earlier for a speculated
+  /// global — and, on commit, applied its writes at entry.version).
+  /// Advances the stable prefix.
   void resolve(const PendingEntry& entry, bool committed);
-  /// Same, for an entry the caller detached earlier (speculative global
-  /// commit: the entry left the pending list at speculation time and is
-  /// resolved when its votes arrive). `owner` pins the resolve-owner audit.
-  void resolve(Version v, TxId owner, bool committed);
 
   /// Highest assigned version (certified, possibly unresolved).
   Version certified() const { return cc_; }
@@ -255,8 +252,9 @@ class Certifier {
   std::size_t window_capacity_;
   bool test_skip_conflict_check_ = false;
   bool test_skip_park_gate_ = false;
-  /// Out-of-order local commit armed (cfg.ooo_bypass). When false, no
-  /// bypass structure is ever touched — the legacy paths are bit-identical.
+  /// Out-of-order local commit armed (cfg.techniques.ooo_bypass). When
+  /// false, no bypass structure is ever touched — the legacy paths are
+  /// bit-identical.
   bool ooo_bypass_ = false;
   std::deque<Slot> slots_;  // slot for version v at index v - base_
   Version base_ = 1;        // version of slots_.front()

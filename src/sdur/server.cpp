@@ -21,7 +21,7 @@ Server::Server(sim::Network& net, sim::ProcessId pid, sim::Location loc, ServerC
                    loc),
       cfg_(std::move(cfg)),
       partitioning_(std::move(partitioning)),
-      cert_(cfg_.window_capacity, cfg_.pdur.cores, cfg_.ooo_bypass),
+      cert_(cfg_.window_capacity, cfg_.pdur.cores, cfg_.techniques.ooo_bypass),
       gsc_(cfg_.num_partitions, 0) {
   set_message_service_time(cfg_.message_service_time);
   trace_track_ = SDUR_TRACE_REGISTER(self(), name(), -1);
@@ -42,7 +42,7 @@ Server::Server(sim::Network& net, sim::ProcessId pid, sim::Location loc, ServerC
       *this, std::move(paxos_cfg), std::make_unique<paxos::InMemoryDurableLog>(),
       [this](const paxos::Value& v) { adeliver(v); });
   engine_->set_install_handler([this](const paxos::Value& blob) { install_state(blob); });
-  if (batching() && cfg_.vote_piggyback) {
+  if (batching() && cfg_.techniques.vote_piggyback) {
     // Paxos engine traffic is intra-group today, but cross-partition
     // forwards relayed through the engine (leader changes) also pass here;
     // the wrapper is identity for same-partition destinations.
@@ -189,8 +189,9 @@ void Server::handle_commit_request(Transaction tx) {
   if (own_involved) {
     PartTx part = project(tx, cfg_.partition, involved);
     part.contact = contact;
-    const sim::Time delay = cfg_.fixed_delay > 0 ? cfg_.fixed_delay : max_remote_delay;
-    if (cfg_.delaying_enabled && involved.size() > 1 && delay > 0) {
+    const TechniqueConfig& tc = cfg_.techniques;
+    const sim::Time delay = tc.fixed_delay > 0 ? tc.fixed_delay : max_remote_delay;
+    if (tc.delaying_enabled && involved.size() > 1 && delay > 0) {
       // Section IV-D: delay the local broadcast of a global transaction by
       // the estimated time for the remote partitions to receive it.
       const paxos::Value value = part.encode();
@@ -213,8 +214,9 @@ PartTx Server::project(const Transaction& tx, PartitionId p,
   for (Key k : tx.readset) {
     if (partitioning_->partition_of(k) == p) rs.push_back(k);
   }
-  t.readset = cfg_.bloom_readsets ? util::KeySet::bloom(rs, cfg_.bloom_fp_rate)
-                                  : util::KeySet::exact(rs);
+  const TechniqueConfig& tc = cfg_.techniques;
+  t.readset =
+      tc.bloom_readsets ? util::KeySet::bloom(rs, tc.bloom_fp_rate) : util::KeySet::exact(rs);
   std::vector<Key> ws_keys;
   for (const auto& op : tx.writeset) {
     if (partitioning_->partition_of(op.key) == p) {
@@ -273,7 +275,7 @@ void Server::process_delivery(PartTx t) {
     case PartTx::Kind::kSetThreshold:
       // Delivered through the same total order as transactions, so every
       // replica switches thresholds at the same delivery index.
-      cfg_.reorder_threshold = t.threshold;
+      cfg_.techniques.reorder_threshold = t.threshold;
       break;
 
     case PartTx::Kind::kAbortRequest: {
@@ -302,7 +304,7 @@ void Server::process_delivery(PartTx t) {
     case PartTx::Kind::kTxn: {
       if (seen_.contains(t.id)) break;  // duplicate after leader change
       seen_.insert(t.id);
-      const std::uint64_t rt = dc_ + cfg_.reorder_threshold;
+      const std::uint64_t rt = dc_ + cfg_.techniques.reorder_threshold;
       Outcome vote = Outcome::kAbort;
       Certifier::Result res;
       SDUR_AUDIT(Version audit_version = 0);
@@ -379,23 +381,7 @@ void Server::process_delivery(PartTx t) {
         });
         break;
       }
-      if (t.is_global()) {
-        record_own_vote(t, vote);
-        send_vote_to_peers(t, vote);
-      }
-      if (vote == Outcome::kAbort) {
-        // Failed certification: never entered the pending list, has no
-        // version slot — just account and answer the client.
-        ++stats_.aborted;
-        votes_.erase(t.id);
-        remember_outcome(t.id, Outcome::kAbort);
-        SDUR_AUDIT(audit::Oracle::instance().record_completion(
-            t.id, cfg_.partition, audit::Oracle::kAbort, t.involved, self(), now()));
-        if (t.contact == self() && t.client != 0) {
-          SDUR_TRACE_MARK(trace_track_, trace::Point::kTxCompleted, t.id, now(), 0);
-          send(t.client, OutcomeMsg{t.id, Outcome::kAbort}.to_message());
-        }
-      }
+      emit_verdict(t, vote);
       break;
     }
   }
@@ -408,52 +394,79 @@ void Server::finish_core_work(const PartTx& t, Outcome vote, Version version) {
   // fixed at dispatch; only now do its effects leave the replica.
   SDUR_TRACE_MARK(trace_track_, trace::Point::kTxReady, t.id, now(), 0);
   if (vote == Outcome::kCommit) cert_.mark_ready(version);
+  emit_verdict(t, vote);
+  drain_pending();
+}
+
+void Server::emit_verdict(const PartTx& t, Outcome vote) {
   if (t.is_global()) {
     record_own_vote(t, vote);
     send_vote_to_peers(t, vote);
   }
-  if (vote == Outcome::kAbort) {
-    ++stats_.aborted;
-    votes_.erase(t.id);
-    remember_outcome(t.id, Outcome::kAbort);
-    SDUR_AUDIT(audit::Oracle::instance().record_completion(
-        t.id, cfg_.partition, audit::Oracle::kAbort, t.involved, self(), now()));
-    if (t.contact == self() && t.client != 0) {
-      SDUR_TRACE_MARK(trace_track_, trace::Point::kTxCompleted, t.id, now(), 0);
-      send(t.client, OutcomeMsg{t.id, Outcome::kAbort}.to_message());
-    }
+  if (vote == Outcome::kCommit) return;
+  // Failed certification: never entered the pending list, has no version
+  // slot — just account and answer the client.
+  ++stats_.aborted;
+  votes_.erase(t.id);
+  remember_outcome(t.id, Outcome::kAbort);
+  SDUR_AUDIT(audit::Oracle::instance().record_completion(
+      t.id, cfg_.partition, audit::Oracle::kAbort, t.involved, self(), now()));
+  if (t.contact == self() && t.client != 0) {
+    SDUR_TRACE_MARK(trace_track_, trace::Point::kTxCompleted, t.id, now(), 0);
+    send(t.client, OutcomeMsg{t.id, Outcome::kAbort}.to_message());
   }
-  drain_pending();
 }
 
-void Server::complete(const PendingEntry& e, Outcome outcome) {
+void Server::finalize(const PendingEntry& e, Outcome outcome) {
   const PartTx& t = e.tx;
+  const bool commit = outcome == Outcome::kCommit;
+  // A speculated global left the pending list with its writes already in
+  // the store as speculative versions; every other entry applies its
+  // writes only now.
+  const bool speculated = spec_ids_.erase(t.id) != 0;
   // 2PC safety and atomicity: the outcome must match every other replica's
   // and partition's, and a global commit requires a commit vote from every
   // involved partition (checked inside the oracle).
   SDUR_AUDIT(audit::Oracle::instance().record_completion(
-      t.id, cfg_.partition,
-      outcome == Outcome::kCommit ? audit::Oracle::kCommit : audit::Oracle::kAbort, t.involved,
+      t.id, cfg_.partition, commit ? audit::Oracle::kCommit : audit::Oracle::kAbort, t.involved,
       self(), now()));
   SDUR_AUDIT_NOTE(now(), name() << " completed tx " << t.id << " -> " << to_string(outcome)
                                 << " v" << e.version);
-  if (outcome == Outcome::kCommit) {
+  if (commit && !speculated) {
     // Writes are applied at the version pre-assigned at certification;
     // apply cost was already charged when the delivery was enqueued.
     for (const auto& op : t.writes) store_.put(op.key, op.value, e.version);
-    cert_.resolve(e, true);
-    if (t.is_global()) {
-      ++stats_.committed_global;
-    } else {
-      ++stats_.committed_local;
-    }
-    if ((cert_.stable() & 0x3FFFF) == 0) {
-      store_.gc(cert_.stable() - static_cast<Version>(cfg_.window_capacity));
-    }
-  } else {
-    cert_.resolve(e, false);
-    ++stats_.aborted;
+  } else if (commit) {
+    // Promote (drop the undo record); once the slot resolves, the stable
+    // prefix can cover the versions — only now can a read observe them.
+    store_.promote(e.version);
+    ++stats_.spec_commits;
+  } else if (speculated) {
+    // Undo mid-chain: entries behind the speculation may have committed
+    // at higher versions already.
+    store_.rollback(e.version);
+    ++stats_.spec_aborts;
+    SDUR_TRACE_INSTANT(trace_track_, trace::Point::kTxSpecAbort, t.id, now(),
+                       static_cast<std::uint64_t>(e.version));
   }
+  const Version stable_before = cert_.stable();
+  cert_.resolve(e, commit);
+  if (!commit) {
+    ++stats_.aborted;
+  } else if (t.is_global()) {
+    ++stats_.committed_global;
+  } else {
+    ++stats_.committed_local;
+  }
+  // Store GC: each time the stable prefix crosses a multiple m of the
+  // window capacity W, drop the versions no in-window snapshot can read
+  // (horizon m - W). One resolution can advance stable by many slots, so
+  // the test is a crossing, not equality. Every replica crosses every
+  // multiple exactly once, with the same horizon and the same versions at
+  // or below it, so the stores stay identical.
+  const auto window = static_cast<Version>(std::max<std::size_t>(cfg_.window_capacity, 1));
+  const Version crossed = cert_.stable() / window * window;
+  if (crossed > stable_before) store_.gc(crossed - window);
   // Resolution may have advanced the stable prefix either way.
   service_deferred_reads();
   votes_.erase(t.id);
@@ -463,10 +476,12 @@ void Server::complete(const PendingEntry& e, Outcome outcome) {
       // Certification verdict to all-votes-in + reorder threshold cleared.
       SDUR_TRACE_SPAN(trace_track_, trace::Point::kVoteWait, t.id, e.delivered_at, now(), 0, -1);
     }
-    SDUR_TRACE_MARK(trace_track_, trace::Point::kTxCompleted, t.id, now(),
-                    outcome == Outcome::kCommit ? 1 : 0);
+    SDUR_TRACE_MARK(trace_track_, trace::Point::kTxCompleted, t.id, now(), commit ? 1 : 0);
     send(t.client, OutcomeMsg{t.id, outcome}.to_message());
   }
+  // Missed-promotion guard: no speculative version may sit at or below
+  // the resolved floor (audited + throws on violation).
+  if (speculated) store_.audit_spec_floor(cert_.stable());
 }
 
 void Server::schedule_threshold_tick() {
@@ -481,7 +496,7 @@ void Server::schedule_threshold_tick() {
   set_timer(cfg_.tick_interval, [this, dc_at_schedule] {
     tick_pending_ = false;
     const bool blocked = !cert_.empty() && cert_.head().ready && cert_.head().tx.is_global() &&
-                         has_all_votes(cert_.head()) && dc_ < cert_.head().rt;
+                         has_all_votes(cert_.head().tx) && dc_ < cert_.head().rt;
     if (!blocked) return;
     if (dc_ == dc_at_schedule) {
       // Genuinely idle: tick the whole deficit.
@@ -503,8 +518,8 @@ void Server::drain_pending() {
   bool progress = true;
   while (progress) {
     drain_in_order();
-    if (cfg_.ooo_bypass) bypass_sweep();
-    progress = cfg_.speculation && spec_sweep();
+    if (cfg_.techniques.ooo_bypass) bypass_sweep();
+    progress = cfg_.techniques.speculation && spec_sweep();
   }
 }
 
@@ -522,19 +537,19 @@ void Server::drain_in_order() {
       // Its writes land above theirs in version order; a later rollback
       // erases mid-chain underneath them (see DESIGN.md).
       const PendingEntry e = cert_.pop_head();
-      complete(e, Outcome::kCommit);
+      finalize(e, Outcome::kCommit);
       continue;
     }
-    if (!has_all_votes(head)) break;  // spec_sweep may speculate it instead
+    if (!has_all_votes(head.tx)) break;  // spec_sweep may speculate it instead
     if (dc_ < head.rt) {
       // Vote-complete but threshold-blocked (line 29). If the partition
       // goes idle the delivery counter would never advance; tick it.
       schedule_threshold_tick();
       break;
     }
-    const Outcome outcome = combined_outcome(head);
+    const Outcome outcome = combined_outcome(head.tx);
     const PendingEntry e = cert_.pop_head();
-    complete(e, outcome);
+    finalize(e, outcome);
   }
 }
 
@@ -581,7 +596,7 @@ void Server::bypass_sweep() {
     ++stats_.bypassed_locals;
     SDUR_TRACE_INSTANT(trace_track_, trace::Point::kTxBypassed, e.tx.id, now(),
                        static_cast<std::uint64_t>(pos));
-    complete(e, Outcome::kCommit);
+    finalize(e, Outcome::kCommit);
     pos = cert_.next_bypassable(pos);
   }
 }
@@ -592,7 +607,7 @@ bool Server::speculate_head() {
   if (cert_.empty()) return false;
   PendingEntry& head = cert_.head();
   if (!head.ready || !head.tx.is_global()) return false;
-  if (has_all_votes(head) && dc_ >= head.rt) return false;  // drain_in_order's job
+  if (has_all_votes(head.tx) && dc_ >= head.rt) return false;  // drain_in_order's job
   PendingEntry e = cert_.pop_head();
   // Apply the writes as speculative versions immediately — the entry left
   // the pending list, so everything queued behind it completes without
@@ -601,18 +616,11 @@ bool Server::speculate_head() {
   // reordering exists to let locals complete ahead of a blocked global,
   // which is moot once the global vacated the head (see DESIGN.md).
   for (const auto& op : e.tx.writes) store_.put_speculative(op.key, op.value, e.version);
-  SpecEntry s;
-  s.version = e.version;
-  s.rt = e.rt;
-  s.delivered_at = e.delivered_at;
-  s.last_vote_resend = e.last_vote_resend;
-  s.abort_requested = e.abort_requested;
-  s.tx = std::move(e.tx);
-  spec_ids_[s.tx.id] = s.version;
+  spec_ids_[e.tx.id] = e.version;
   ++stats_.speculated_globals;
-  SDUR_TRACE_MARK(trace_track_, trace::Point::kTxSpeculated, s.tx.id, now(), 1);
-  SDUR_AUDIT_NOTE(now(), name() << " speculated global tx " << s.tx.id << " v" << s.version);
-  spec_.emplace(s.version, std::move(s));
+  SDUR_TRACE_MARK(trace_track_, trace::Point::kTxSpeculated, e.tx.id, now(), 1);
+  SDUR_AUDIT_NOTE(now(), name() << " speculated global tx " << e.tx.id << " v" << e.version);
+  spec_.emplace(e.version, std::move(e));
   return true;
 }
 
@@ -625,92 +633,20 @@ bool Server::spec_sweep() {
   // Out-of-order finalize: each speculated global resolves the moment its
   // own votes complete — not behind earlier specs still waiting (slot
   // resolution and the stable prefix keep reads safe regardless of the
-  // resolution order). The rescan after every resolution keeps iteration
-  // valid across the erase inside finalize/rollback; spec_ stays small.
-  bool resolved = true;
-  while (resolved) {
-    resolved = false;
-    for (const auto& [v, s] : spec_) {
-      if (!has_all_votes(s.tx)) continue;
-      if (combined_outcome(s.tx) == Outcome::kCommit) {
-        finalize_spec(v);
-      } else {
-        rollback_spec(v);
-      }
-      resolved = true;
-      progress = true;
-      break;
+  // resolution order). One ascending pass suffices: resolving an entry
+  // erases only its own votes, so no entry already passed over can have
+  // completed its votes in the meantime.
+  for (auto it = spec_.begin(); it != spec_.end();) {
+    if (!has_all_votes(it->second.tx)) {
+      ++it;
+      continue;
     }
+    const PendingEntry e = std::move(it->second);
+    it = spec_.erase(it);
+    finalize(e, combined_outcome(e.tx));
+    progress = true;
   }
   return progress;
-}
-
-void Server::finalize_spec(Version v) {
-  auto it = spec_.find(v);
-  if (it == spec_.end()) return;
-  SpecEntry s = std::move(it->second);
-  spec_.erase(it);
-  spec_ids_.erase(s.tx.id);
-  SDUR_AUDIT(audit::Oracle::instance().record_completion(
-      s.tx.id, cfg_.partition, audit::Oracle::kCommit, s.tx.involved, self(), now()));
-  SDUR_AUDIT_NOTE(now(), name() << " finalized speculated tx " << s.tx.id << " -> commit v"
-                                << s.version);
-  // The writes are already in the store at s.version: promote them (drop
-  // the undo record) and resolve the slot so the stable prefix can cover
-  // them — only now can a read observe the versions.
-  store_.promote(v);
-  cert_.resolve(v, s.tx.id, true);
-  ++stats_.spec_commits;
-  ++stats_.committed_global;
-  if ((cert_.stable() & 0x3FFFF) == 0) {
-    store_.gc(cert_.stable() - static_cast<Version>(cfg_.window_capacity));
-  }
-  service_deferred_reads();
-  votes_.erase(s.tx.id);
-  remember_outcome(s.tx.id, Outcome::kCommit);
-  if (s.tx.contact == self() && s.tx.client != 0) {
-    if (s.tx.is_global()) {
-      SDUR_TRACE_SPAN(trace_track_, trace::Point::kVoteWait, s.tx.id, s.delivered_at, now(), 0,
-                      -1);
-    }
-    SDUR_TRACE_MARK(trace_track_, trace::Point::kTxCompleted, s.tx.id, now(), 1);
-    send(s.tx.client, OutcomeMsg{s.tx.id, Outcome::kCommit}.to_message());
-  }
-  // Missed-promotion guard: no speculative version may sit at or below the
-  // resolved floor (audited + throws on violation).
-  store_.audit_spec_floor(cert_.stable());
-}
-
-void Server::rollback_spec(Version v) {
-  auto it = spec_.find(v);
-  if (it == spec_.end()) return;
-  SpecEntry s = std::move(it->second);
-  spec_.erase(it);
-  spec_ids_.erase(s.tx.id);
-  SDUR_AUDIT(audit::Oracle::instance().record_completion(
-      s.tx.id, cfg_.partition, audit::Oracle::kAbort, s.tx.involved, self(), now()));
-  SDUR_AUDIT_NOTE(now(), name() << " rolled back speculated tx " << s.tx.id << " v" << s.version);
-  // Undo the speculative versions (mid-chain erase: entries behind the
-  // spec may have committed at higher versions already) and resolve the
-  // slot as aborted.
-  store_.rollback(v);
-  cert_.resolve(v, s.tx.id, false);
-  ++stats_.aborted;
-  ++stats_.spec_aborts;
-  SDUR_TRACE_INSTANT(trace_track_, trace::Point::kTxSpecAbort, s.tx.id, now(),
-                     static_cast<std::uint64_t>(s.version));
-  service_deferred_reads();
-  votes_.erase(s.tx.id);
-  remember_outcome(s.tx.id, Outcome::kAbort);
-  if (s.tx.contact == self() && s.tx.client != 0) {
-    if (s.tx.is_global()) {
-      SDUR_TRACE_SPAN(trace_track_, trace::Point::kVoteWait, s.tx.id, s.delivered_at, now(), 0,
-                      -1);
-    }
-    SDUR_TRACE_MARK(trace_track_, trace::Point::kTxCompleted, s.tx.id, now(), 0);
-    send(s.tx.client, OutcomeMsg{s.tx.id, Outcome::kAbort}.to_message());
-  }
-  store_.audit_spec_floor(cert_.stable());
 }
 
 // --- Votes --------------------------------------------------------------------
@@ -758,8 +694,6 @@ bool Server::has_all_votes(const PartTx& t) const {
   return true;
 }
 
-bool Server::has_all_votes(const PendingEntry& p) const { return has_all_votes(p.tx); }
-
 Outcome Server::combined_outcome(const PartTx& t) const {
   auto it = votes_.find(t.id);
   if (it == votes_.end()) return Outcome::kAbort;
@@ -769,8 +703,6 @@ Outcome Server::combined_outcome(const PartTx& t) const {
   }
   return Outcome::kCommit;
 }
-
-Outcome Server::combined_outcome(const PendingEntry& p) const { return combined_outcome(p.tx); }
 
 bool Server::apply_vote(TxId id, PartitionId partition, Outcome vote) {
   // Votes for transactions already completed here are stale; only keep
@@ -812,7 +744,7 @@ void Server::enqueue_vote(PartitionId p, TxId id, Outcome v) {
   if (p >= vote_outbox_.size()) return;
   VoteOutbox& box = vote_outbox_[p];
   box.queue.push_back(VoteBatchEntry{id, v});
-  if (box.queue.size() >= cfg_.vote_batch_max) {
+  if (box.queue.size() >= cfg_.techniques.vote_batch_max) {
     flush_votes_for(p);
     return;
   }
@@ -820,7 +752,7 @@ void Server::enqueue_vote(PartitionId p, TxId id, Outcome v) {
     // One timer serves every destination queue; epoch-guarded, so a crash
     // kills it and on_recover starts from an empty outbox.
     vote_flush_pending_ = true;
-    set_timer(cfg_.vote_batch_interval, [this] { flush_votes(); });
+    set_timer(cfg_.techniques.vote_batch_interval, [this] { flush_votes(); });
   }
 }
 
@@ -871,7 +803,7 @@ void Server::flush_votes_for(PartitionId p) {
 }
 
 sim::Message Server::maybe_piggyback(PartitionId p, std::size_t replica_index, sim::Message m) {
-  if (!batching() || !cfg_.vote_piggyback) return m;
+  if (!batching() || !cfg_.techniques.vote_piggyback) return m;
   if (m.type == msgtype::kVoteBatch || m.type == msgtype::kVotePiggyback) return m;
   if (p == cfg_.partition || p >= vote_outbox_.size()) return m;
   VoteOutbox& box = vote_outbox_[p];
@@ -900,7 +832,7 @@ sim::Message Server::maybe_piggyback(PartitionId p, std::size_t replica_index, s
 }
 
 sim::Message Server::maybe_piggyback_pid(sim::ProcessId to, sim::Message m) {
-  if (!batching() || !cfg_.vote_piggyback) return m;
+  if (!batching() || !cfg_.techniques.vote_piggyback) return m;
   const auto it = peer_index_.find(to);
   if (it == peer_index_.end()) return m;
   return maybe_piggyback(it->second.first, it->second.second, std::move(m));
@@ -996,74 +928,46 @@ void Server::gossip_tick() {
 
 void Server::liveness_tick() {
   const sim::Time t_now = now();
-  for (std::size_t i = 0; i < cert_.size(); ++i) {
-    PendingEntry& p = cert_.at(i);
-    if (!p.tx.is_global() || has_all_votes(p)) continue;
-    if (t_now - p.last_vote_resend >= cfg_.vote_resend_interval) {
-      p.last_vote_resend = t_now;
-      // Re-push our vote (it may have been lost) and pull the votes we are
-      // missing (the peers may have completed long ago, e.g. if this
-      // replica recovered from a crash and lost its vote table).
-      auto it = own_votes_.find(p.tx.id);
-      if (it != own_votes_.end()) send_vote_to_peers(p.tx, it->second);
-      auto votes_it = votes_.find(p.tx.id);
-      for (PartitionId part : p.tx.involved) {
-        if (part == cfg_.partition) continue;
-        if (votes_it != votes_.end() && votes_it->second.contains(part)) continue;
-        const sim::Message req = VoteRequestMsg{p.tx.id}.to_message();
-        const std::vector<sim::ProcessId>& peers = cfg_.partition_servers[part];
-        for (std::size_t j = 0; j < peers.size(); ++j) {
-          send(peers[j], maybe_piggyback(part, j, req));
-        }
-      }
-    }
-    if (!p.abort_requested && t_now - p.delivered_at >= cfg_.missing_vote_timeout &&
-        engine_->is_leader()) {
-      // Suspect the submitter crashed between broadcasts: ask the silent
-      // partitions to abort (or to resend their vote if they did deliver).
-      p.abort_requested = true;
-      ++stats_.abort_requests_sent;
-      auto votes_it = votes_.find(p.tx.id);
-      for (PartitionId part : p.tx.involved) {
-        if (part == cfg_.partition) continue;
-        if (votes_it != votes_.end() && votes_it->second.contains(part)) continue;
-        abcast(part, PartTx::make_abort_request(p.tx.id, p.tx.involved));
-      }
-    }
-  }
+  for (std::size_t i = 0; i < cert_.size(); ++i) chase_votes(cert_.at(i), t_now);
   // Speculated globals left the pending list but still await their votes:
   // the same resend / vote-request / abort-request liveness applies.
-  for (auto& [v, s] : spec_) {
-    (void)v;
-    if (has_all_votes(s.tx)) continue;
-    if (t_now - s.last_vote_resend >= cfg_.vote_resend_interval) {
-      s.last_vote_resend = t_now;
-      auto it = own_votes_.find(s.tx.id);
-      if (it != own_votes_.end()) send_vote_to_peers(s.tx, it->second);
-      auto votes_it = votes_.find(s.tx.id);
-      for (PartitionId part : s.tx.involved) {
-        if (part == cfg_.partition) continue;
-        if (votes_it != votes_.end() && votes_it->second.contains(part)) continue;
-        const sim::Message req = VoteRequestMsg{s.tx.id}.to_message();
-        const std::vector<sim::ProcessId>& peers = cfg_.partition_servers[part];
-        for (std::size_t j = 0; j < peers.size(); ++j) {
-          send(peers[j], maybe_piggyback(part, j, req));
-        }
-      }
-    }
-    if (!s.abort_requested && t_now - s.delivered_at >= cfg_.missing_vote_timeout &&
-        engine_->is_leader()) {
-      s.abort_requested = true;
-      ++stats_.abort_requests_sent;
-      auto votes_it = votes_.find(s.tx.id);
-      for (PartitionId part : s.tx.involved) {
-        if (part == cfg_.partition) continue;
-        if (votes_it != votes_.end() && votes_it->second.contains(part)) continue;
-        abcast(part, PartTx::make_abort_request(s.tx.id, s.tx.involved));
+  for (auto& entry : spec_) chase_votes(entry.second, t_now);
+  set_timer(cfg_.vote_resend_interval / 2, [this] { liveness_tick(); });
+}
+
+void Server::chase_votes(PendingEntry& p, sim::Time t_now) {
+  if (!p.tx.is_global() || has_all_votes(p.tx)) return;
+  if (t_now - p.last_vote_resend >= cfg_.vote_resend_interval) {
+    p.last_vote_resend = t_now;
+    // Re-push our vote (it may have been lost) and pull the votes we are
+    // missing (the peers may have completed long ago, e.g. if this
+    // replica recovered from a crash and lost its vote table).
+    auto it = own_votes_.find(p.tx.id);
+    if (it != own_votes_.end()) send_vote_to_peers(p.tx, it->second);
+    auto votes_it = votes_.find(p.tx.id);
+    for (PartitionId part : p.tx.involved) {
+      if (part == cfg_.partition) continue;
+      if (votes_it != votes_.end() && votes_it->second.contains(part)) continue;
+      const sim::Message req = VoteRequestMsg{p.tx.id}.to_message();
+      const std::vector<sim::ProcessId>& peers = cfg_.partition_servers[part];
+      for (std::size_t j = 0; j < peers.size(); ++j) {
+        send(peers[j], maybe_piggyback(part, j, req));
       }
     }
   }
-  set_timer(cfg_.vote_resend_interval / 2, [this] { liveness_tick(); });
+  if (!p.abort_requested && t_now - p.delivered_at >= cfg_.missing_vote_timeout &&
+      engine_->is_leader()) {
+    // Suspect the submitter crashed between broadcasts: ask the silent
+    // partitions to abort (or to resend their vote if they did deliver).
+    p.abort_requested = true;
+    ++stats_.abort_requests_sent;
+    auto votes_it = votes_.find(p.tx.id);
+    for (PartitionId part : p.tx.involved) {
+      if (part == cfg_.partition) continue;
+      if (votes_it != votes_.end() && votes_it->second.contains(part)) continue;
+      abcast(part, PartTx::make_abort_request(p.tx.id, p.tx.involved));
+    }
+  }
 }
 
 // --- Checkpointing ------------------------------------------------------------------
@@ -1100,7 +1004,7 @@ paxos::Value Server::encode_state() const {
   // (golden-digest pinned). The store blob above already carries the
   // speculative versions inside the chains; this section lets install
   // re-mark them in the undo log.
-  if (cfg_.speculation) {
+  if (cfg_.techniques.speculation) {
     w.varint(spec_.size());
     for (const auto& [v, s] : spec_) {
       w.i64(v);
@@ -1143,17 +1047,15 @@ void Server::install_state(const paxos::Value& blob) {
   }
   spec_.clear();
   spec_ids_.clear();
-  if (cfg_.speculation) {
+  if (cfg_.techniques.speculation) {
     const std::uint64_t nspec = r.varint();
     for (std::uint64_t i = 0; i < nspec; ++i) {
-      SpecEntry s;
+      PendingEntry s;
       s.version = r.i64();
       const std::string tx_bytes = r.bytes();
       s.tx = PartTx::decode(util::Bytes(tx_bytes.begin(), tx_bytes.end()));
       s.rt = r.u64();
       s.delivered_at = now();
-      s.last_vote_resend = 0;
-      s.abort_requested = false;
       spec_ids_[s.tx.id] = s.version;
       spec_.emplace(s.version, std::move(s));
     }

@@ -90,7 +90,7 @@ class Server : public sim::Process {
   /// Highest assigned (certified) version, possibly unresolved.
   Version certified() const { return cert_.certified(); }
   std::uint64_t dc() const { return dc_; }
-  std::uint32_t reorder_threshold() const { return cfg_.reorder_threshold; }
+  std::uint32_t reorder_threshold() const { return cfg_.techniques.reorder_threshold; }
   std::size_t pending_count() const { return cert_.size(); }
   const Stats& stats() const { return stats_; }
   const storage::MVStore& store() const { return store_; }
@@ -116,11 +116,19 @@ class Server : public sim::Process {
   // --- Delivery (Algorithm 2, lines 15-33) ----------------------------------
   void adeliver(const paxos::Value& value);
   void process_delivery(PartTx t);
-  void complete(const PendingEntry& e, Outcome outcome);
+  /// Effects of a certification verdict leaving the replica: the own vote
+  /// of a global, and for a failed certification (no version slot) the
+  /// abort accounting and answer.
+  void emit_verdict(const PartTx& t, Outcome vote);
+  /// The single completion path (Algorithm 2, lines 34-39): fixes the
+  /// outcome of an entry that left the pending list, lands its writes at
+  /// its version (put for a pending entry; promote or rollback for a
+  /// speculated one), resolves its slot, advances SC and replies.
+  void finalize(const PendingEntry& e, Outcome outcome);
   void drain_pending();
-  /// Out-of-order local commit (cfg.ooo_bypass): after the in-order drain
-  /// stalls, commits every ready unparked local past the blocked prefix
-  /// (see DESIGN.md "Out-of-order local commit").
+  /// Out-of-order local commit (cfg.techniques.ooo_bypass): after the
+  /// in-order drain stalls, commits every ready unparked local past the
+  /// blocked prefix (see DESIGN.md "Out-of-order local commit").
   void bypass_sweep();
   /// In-order head drain (the legacy drain_pending loop body); factored
   /// out so the speculation sweep can interleave with it.
@@ -135,24 +143,11 @@ class Server : public sim::Process {
   // speculative state — reads serve only the stable prefix, which stalls
   // below every unresolved speculative version — so there is nothing to
   // cascade. See DESIGN.md "Speculative global commit".
-  /// One speculated global, keyed by its assigned version in spec_.
-  struct SpecEntry {
-    PartTx tx;
-    Version version = 0;
-    std::uint64_t rt = 0;             // delivery count at certification
-    sim::Time delivered_at = 0;
-    sim::Time last_vote_resend = 0;
-    bool abort_requested = false;
-  };
   /// Speculates the global at the pending-list head; true on progress.
   bool speculate_head();
-  /// Post-drain sweep: speculate eligible heads; true on any progress.
+  /// Post-drain sweep: speculate eligible heads, then finalize every
+  /// speculated global whose votes are complete; true on any progress.
   bool spec_sweep();
-  /// Votes complete with combined commit: promote versions, emit the
-  /// reply.
-  void finalize_spec(Version v);
-  /// Votes complete with an abort: undo the versions, reply abort.
-  void rollback_spec(Version v);
   bool has_all_votes(const PartTx& t) const;
   Outcome combined_outcome(const PartTx& t) const;
 
@@ -166,8 +161,6 @@ class Server : public sim::Process {
   // --- Votes ----------------------------------------------------------------
   void record_own_vote(const PartTx& t, Outcome v);
   void send_vote_to_peers(const PartTx& t, Outcome v);
-  bool has_all_votes(const PendingEntry& p) const;
-  Outcome combined_outcome(const PendingEntry& p) const;
   void handle_vote(const VoteMsg& m);
   /// Records one vote; returns false when the vote was stale (transaction
   /// already completed here — dropped, exactly like the legacy early
@@ -180,7 +173,7 @@ class Server : public sim::Process {
   // --- Vote batching (see DESIGN.md "Vote exchange & batching") --------------
   /// Batching is a cross-partition optimization; single-partition
   /// deployments have no vote exchange to batch.
-  bool batching() const { return cfg_.vote_batching && cfg_.num_partitions > 1; }
+  bool batching() const { return cfg_.techniques.vote_batching && cfg_.num_partitions > 1; }
   /// Queues a vote for partition p; flushes at vote_batch_max, else arms
   /// one vote_batch_interval timer covering all destination queues.
   void enqueue_vote(PartitionId p, TxId id, Outcome v);
@@ -213,6 +206,11 @@ class Server : public sim::Process {
   // --- Timers -------------------------------------------------------------------
   void gossip_tick();
   void liveness_tick();
+  /// Liveness for one global still awaiting votes (pending or speculated):
+  /// resends the own vote and requests the missing ones every
+  /// vote_resend_interval; after missing_vote_timeout the leader asks the
+  /// silent partitions to abort (Section IV-F).
+  void chase_votes(PendingEntry& p, sim::Time t_now);
   void checkpoint_tick();
 
   ServerConfig cfg_;
@@ -258,7 +256,7 @@ class Server : public sim::Process {
   /// the spec-floor audit walk from the lowest). Deterministic: contents
   /// are a function of the delivered sequence plus vote outcomes, both
   /// identical across the partition's replicas.
-  std::map<Version, SpecEntry> spec_;
+  std::map<Version, PendingEntry> spec_;
   /// TxId -> speculative version, so the vote path can find speculated
   /// globals that already left the pending list.
   std::unordered_map<TxId, Version> spec_ids_;

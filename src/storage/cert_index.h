@@ -39,7 +39,7 @@
 // ("index-scan-equivalence").
 //
 // DETERMINISM. The index is probe-only: no operation iterates the hash
-// table (tools/lint_determinism.py rule cert-index-iteration), so hash
+// table (tools/analyze rule cert-index-iteration), so hash
 // order cannot leak into verdicts. The bloom suffix lists are kept in
 // version order by construction.
 #pragma once

@@ -14,7 +14,7 @@
 // protocol decisions or serialized state. Callers either sort what they
 // collect (MVStore::encode) or perform provably order-insensitive per-key
 // mutations (MVStore::gc). The certification index (cert_index.h) never
-// iterates at all — probes only — and tools/lint_determinism.py enforces
+// iterates at all — probes only — and tools/analyze enforces
 // that (rule cert-index-iteration).
 #pragma once
 

@@ -1,5 +1,5 @@
 // Out-of-order local commit tests (see DESIGN.md "Out-of-order local
-// commit", cfg.ooo_bypass).
+// commit", cfg.techniques.ooo_bypass).
 //
 //  1. Unit coverage of the park gate: disjoint locals bypass pending
 //     globals, write/read-conflicting locals park until the completed-
@@ -14,10 +14,15 @@
 //     the store throws, so an unsound bypass cannot pass silently.
 //  3. Chaos convergence: the vote-batch chaos recipe (loss, follower
 //     churn, checkpoints, reordering, 40% globals over 3 partitions) with
-//     ooo_bypass on converges with real bypasses happening.
+//     ooo_bypass on converges with real bypasses happening, and
+//     reproduces its own frozen digest.
 //  4. Golden pin: the same recipe with ooo_bypass off (the default)
 //     reproduces the pre-bypass digest bit-for-bit — the bypass layer is
 //     provably inert when disabled.
+//  5. Store GC under a jumping stable prefix: bypassed and reordered
+//     locals resolve slots above pending globals, so the stable prefix
+//     advances in jumps; GC must still run at every window crossing,
+//     bounding the version count, identically on every replica.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -407,10 +412,10 @@ ChaosOut run_chaos(bool ooo_bypass, std::uint32_t reorder_threshold = 24) {
   spec.partitions = 3;
   spec.partitioning = MicroWorkload::make_partitioning(3, 90);
   spec.log_write_latency = sim::usec(300);
-  spec.server.reorder_threshold = reorder_threshold;
+  spec.server.techniques.reorder_threshold = reorder_threshold;
   spec.server.checkpoint_interval = sim::msec(500);
   spec.server.missing_vote_timeout = sim::msec(1500);
-  spec.server.ooo_bypass = ooo_bypass;
+  spec.server.techniques.ooo_bypass = ooo_bypass;
   spec.seed = 17;
   spec.client.read_retry_interval = sim::msec(300);
   spec.client.commit_retry_interval = sim::msec(800);
@@ -500,6 +505,69 @@ TEST(ConvoyBypass, BypassOnConvergesUnderChaosAndCheckpointInstalls) {
   // across replicas and crash-replay.
   EXPECT_TRUE(audit::Auditor::instance().clean()) << audit::Auditor::instance().summary();
 #endif
+}
+
+TEST(ConvoyBypass, StoreGcRunsOnEveryWindowCrossing) {
+  constexpr std::size_t kWindow = 64;
+  constexpr std::uint64_t kItems = 400;
+  constexpr std::size_t kWritesPerTxn = 2;  // MicroConfig::ops_per_txn
+  DeploymentSpec spec;
+  spec.partitions = 2;
+  spec.partitioning = MicroWorkload::make_partitioning(2, kItems);
+  spec.server.window_capacity = kWindow;
+  spec.server.techniques.reorder_threshold = 8;
+  spec.server.techniques.ooo_bypass = true;
+  spec.seed = 5;
+  Deployment dep(spec);
+
+  RunConfig cfg;
+  cfg.clients = 16;
+  cfg.seed = 5;
+  cfg.warmup = sim::msec(200);
+  cfg.measure = sim::sec(2);
+  const sim::Time stop_at = cfg.settle + cfg.warmup + cfg.measure;
+
+  MicroConfig mc;
+  mc.items_per_partition = kItems;
+  mc.global_fraction = 0.3;
+  mc.keep_running = [&dep, stop_at] { return dep.simulator().now() < stop_at; };
+  MicroWorkload wl(mc);
+
+  // After the GC at the last crossed multiple m of the window W (horizon
+  // m - W, with m <= stable < m + W), every key keeps at most one version
+  // at or below the horizon; the versions above it belong to fewer than
+  // 2W + (certified - stable) transactions, each writing at most
+  // kWritesPerTxn keys of the partition.
+  std::size_t violations = 0;
+  std::string first_violation;
+  auto check_bound = [&] {
+    for (Server* s : dep.servers()) {
+      const std::size_t pending = static_cast<std::size_t>(s->certified() - s->sc());
+      const std::size_t bound =
+          s->store().key_count() + kWritesPerTxn * (2 * kWindow + pending);
+      if (s->store().version_count() <= bound) continue;
+      if (violations++ == 0) {
+        first_violation = s->name() + " holds " + std::to_string(s->store().version_count()) +
+                          " versions at sc=" + std::to_string(s->sc()) + ", bound " +
+                          std::to_string(bound);
+      }
+    }
+  };
+  for (sim::Time t = sim::msec(100); t < stop_at; t += sim::msec(50)) {
+    dep.simulator().schedule_at(t, check_bound);
+  }
+
+  run_experiment(dep, wl, cfg);
+  dep.run_until(dep.simulator().now() + sim::sec(2));
+  check_bound();
+
+  EXPECT_EQ(violations, 0u) << first_violation;
+  EXPECT_TRUE(replicas_agree(dep)) << "replicas of each partition encode identical stores";
+  for (Server* s : dep.servers()) {
+    EXPECT_GT(s->sc(), static_cast<Version>(8 * kWindow)) << s->name() << " crossed few multiples";
+  }
+  const Server::Stats stats = dep.total_stats();
+  EXPECT_GT(stats.bypassed_locals + stats.reordered, 0u) << "the stable prefix really jumped";
 }
 
 }  // namespace e2e

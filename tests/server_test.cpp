@@ -364,7 +364,7 @@ TEST(Server, DelayingEnabledGlobalStillCommits) {
   spec.kind = DeploymentSpec::Kind::kWan1;
   spec.partitions = 2;
   spec.partitioning = std::make_shared<RangePartitioning>(2, 1000);
-  spec.server.delaying_enabled = true;
+  spec.server.techniques.delaying_enabled = true;
   Fixture f(spec);
   f.sim().run_until(sim::sec(1));
   Client& c = f.dep->add_client(0);
@@ -376,7 +376,7 @@ TEST(Server, BloomCertificationCommitsAndConverges) {
   DeploymentSpec spec;
   spec.partitions = 2;
   spec.partitioning = std::make_shared<RangePartitioning>(2, 1000);
-  spec.server.bloom_readsets = true;
+  spec.server.techniques.bloom_readsets = true;
   Fixture f(spec);
   f.settle();
   Client& c = f.dep->add_client(0);

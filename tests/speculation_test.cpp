@@ -183,11 +183,7 @@ TEST(SpecProperty, RandomizedEquivalenceWithAdversarialVotes) {
   std::unordered_map<TxId, std::uint64_t> vote_at;
   auto votes_arrived = [&](TxId id) { return healed || vote_at.at(id) <= d; };
 
-  struct SpecRec {
-    TxId id;
-    std::vector<WriteOp> writes;
-  };
-  std::map<Version, SpecRec> outstanding;
+  std::map<Version, PendingEntry> outstanding;
   std::uint64_t speculated = 0, finalized = 0, rolled_back = 0, midchain = 0;
 
   auto drain_spec = [&] {
@@ -195,7 +191,7 @@ TEST(SpecProperty, RandomizedEquivalenceWithAdversarialVotes) {
       const PendingEntry e = on.pop_head();
       if (e.tx.is_global()) {
         for (const auto& op : e.tx.writes) store.put_speculative(op.key, op.value, e.version);
-        outstanding.emplace(e.version, SpecRec{e.tx.id, e.tx.writes});
+        outstanding.emplace(e.version, e);
         ++speculated;
       } else {
         for (const auto& op : e.tx.writes) store.put(op.key, op.value, e.version);
@@ -205,17 +201,17 @@ TEST(SpecProperty, RandomizedEquivalenceWithAdversarialVotes) {
     // Out-of-order finalize/rollback: each speculated global resolves on
     // its own votes, regardless of delivery order.
     for (auto it = outstanding.begin(); it != outstanding.end();) {
-      if (!votes_arrived(it->second.id)) {
+      if (!votes_arrived(it->second.tx.id)) {
         ++it;
         continue;
       }
-      const bool ok = vote_commits(it->second.id);
+      const bool ok = vote_commits(it->second.tx.id);
       if (ok) {
         EXPECT_GT(store.promote(it->first), 0u);
         ++finalized;
       } else {
         bool mid = false;
-        for (const auto& op : it->second.writes) {
+        for (const auto& op : it->second.tx.writes) {
           const auto latest = store.get_latest(op.key);
           if (latest && latest->version > it->first) mid = true;
         }
@@ -223,7 +219,7 @@ TEST(SpecProperty, RandomizedEquivalenceWithAdversarialVotes) {
         ++rolled_back;
         if (mid) ++midchain;
       }
-      on.resolve(it->first, it->second.id, ok);
+      on.resolve(it->second, ok);
       it = outstanding.erase(it);
     }
   };
@@ -355,12 +351,9 @@ struct ChaosOut {
 };
 
 /// The vote_batch_test chaos recipe (loss, follower churn, checkpoints,
-/// 40% globals over 3 partitions), parameterized on speculation.
+/// 40% globals over 3 partitions), parameterized on the techniques.
 /// checkpoint_interval is short enough that installs re-mark speculative
-/// versions while speculation is happening. `reorder_threshold` defaults
-/// to the recipe's 24 (the golden pin needs the exact legacy
-/// configuration); the speculation-on run uses 0 so the vote wait the
-/// speculation hides is undiluted.
+/// versions while speculation is happening.
 ChaosOut run_chaos_with(const TechniqueConfig& techniques) {
   DeploymentSpec spec;
   spec.partitions = 3;
@@ -436,6 +429,9 @@ ChaosOut run_chaos_with(const TechniqueConfig& techniques) {
   return out;
 }
 
+/// `reorder_threshold` defaults to the recipe's 24 (the golden pin needs
+/// the exact legacy configuration); the speculation-on run uses 0 so the
+/// vote wait the speculation hides is undiluted.
 ChaosOut run_chaos(bool speculation, std::uint32_t reorder_threshold = 24) {
   TechniqueConfig techniques;
   techniques.reorder_threshold = reorder_threshold;

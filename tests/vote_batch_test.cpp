@@ -81,10 +81,10 @@ ChaosOut run_chaos(bool batching) {
   spec.partitions = 3;
   spec.partitioning = MicroWorkload::make_partitioning(3, 90);
   spec.log_write_latency = sim::usec(300);
-  spec.server.reorder_threshold = 24;
+  spec.server.techniques.reorder_threshold = 24;
   spec.server.checkpoint_interval = sim::msec(500);
   spec.server.missing_vote_timeout = sim::msec(1500);
-  spec.server.vote_batching = batching;
+  spec.server.techniques.vote_batching = batching;
   spec.seed = 17;
   spec.client.read_retry_interval = sim::msec(300);
   spec.client.commit_retry_interval = sim::msec(800);
@@ -192,9 +192,9 @@ CleanOut run_clean(bool batching, std::uint32_t clients = 12, sim::Time interval
   DeploymentSpec spec;
   spec.partitions = 3;
   spec.partitioning = MicroWorkload::make_partitioning(3, 120);
-  spec.server.reorder_threshold = 16;
-  spec.server.vote_batching = batching;
-  if (interval > 0) spec.server.vote_batch_interval = interval;
+  spec.server.techniques.reorder_threshold = 16;
+  spec.server.techniques.vote_batching = batching;
+  if (interval > 0) spec.server.techniques.vote_batch_interval = interval;
   spec.seed = 9;
   Deployment dep(spec);
 
@@ -266,7 +266,7 @@ void run_stale(bool batching) {
   DeploymentSpec spec;
   spec.partitions = 2;
   spec.partitioning = MicroWorkload::make_partitioning(2, 60);
-  spec.server.vote_batching = batching;
+  spec.server.techniques.vote_batching = batching;
   spec.seed = 21;
   Deployment dep(spec);
 
@@ -306,9 +306,9 @@ TEST(VoteBatch, ResendRepairsVotesLostWhilePartitioned) {
   DeploymentSpec spec;
   spec.partitions = 3;
   spec.partitioning = MicroWorkload::make_partitioning(3, 60);
-  spec.server.reorder_threshold = 8;
+  spec.server.techniques.reorder_threshold = 8;
   spec.server.missing_vote_timeout = sim::msec(1500);
-  spec.server.vote_batching = true;
+  spec.server.techniques.vote_batching = true;
   spec.seed = 13;
   Deployment dep(spec);
 

@@ -13,10 +13,9 @@ structurally:
                          are bools; a new one belongs in TechniqueConfig,
                          where the grammar, presets, validate() and the
                          format/parse round trip pick it up for free.
-                         ServerConfig's legacy names are reference
-                         aliases (`bool& ooo_bypass = techniques...`) —
-                         references are never flagged, nor are `bool`
-                         function declarations.
+                         ServerConfig reaches the knobs through its
+                         `techniques` member. References are never
+                         flagged, nor are `bool` function declarations.
 
 Scope: headers under src/sdur/ whose name ends in `config.h` (config.h,
 technique_config.h). Other layers keep their own bools (pdur::Config is
@@ -91,7 +90,7 @@ def run_config_single_source(ctx: Context):
                 m.rel, tok.line, "config-single-source", tok.text,
                 f"bool knob `{tok.text}` declared in `{struct}` — technique "
                 f"toggles belong in TechniqueConfig (grammar/presets/validate "
-                f"pick them up); re-export legacy names as `bool&` aliases")
+                f"pick them up); read it as `cfg.techniques.{tok.text}`")
 
 
 RULES = [
@@ -99,6 +98,6 @@ RULES = [
          "technique bool knobs in src/sdur/*config*.h must be declared "
          "inside TechniqueConfig (references and functions exempt)",
          run_config_single_source,
-         suggestion="move the knob into TechniqueConfig and, if an old name "
-                    "must survive, alias it: `bool& name = techniques.name;`"),
+         suggestion="move the knob into TechniqueConfig and read it through "
+                    "the embedding struct's `techniques` member"),
 ]

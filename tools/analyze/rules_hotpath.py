@@ -23,11 +23,11 @@ or piggybacked ride) and `flush_votes*` once per batch window per
 destination partition; the out-of-order-commit gate (anything containing
 `bypass` or starting with `park`/`unpark`: park_on_insert, park_bound,
 unpark_on_removal, next_bypassable, park_rebuild, bypass_sweep) runs on
-every delivery and every pending-head completion; the speculative
-global commit path (anything starting with `speculate`/`finalize`/
-`rollback`, under src/sdur/ and src/storage/: speculate_head,
-finalize_spec, rollback_spec, MVStore::rollback) runs per speculated
-global and per vote resolution. Under src/trace/ the
+every delivery and every pending-head completion; the completion and
+speculative global commit path (anything starting with `speculate`/
+`finalize`/`rollback`, under src/sdur/ and src/storage/: speculate_head,
+Server::finalize, MVStore::rollback) runs per completed transaction,
+per speculated global and per vote resolution. Under src/trace/ the
 span-emit path is hot: every
 instrumented protocol step calls Tracer::record_*/append per delivered
 transaction, and the tracer's zero-allocation-at-steady-state contract
@@ -70,10 +70,12 @@ def _is_hot(name: str, rel: str) -> bool:
     # commit".
     if rel.startswith("src/sdur/") and ("bypass" in name or name.startswith(("park", "unpark"))):
         return True
-    # The speculative-global-commit path (src/sdur/ + src/storage/):
-    # speculate* runs once per eligible pending-list head, finalize*/
-    # rollback* once per vote resolution (MVStore::rollback walks every
-    # written key's chain) — see DESIGN.md "Speculative global commit".
+    # The completion + speculative-global-commit path (src/sdur/ +
+    # src/storage/): finalize* runs once per completed transaction (the
+    # server's single completion path), speculate* once per eligible
+    # pending-list head, rollback* once per vote-aborted speculation
+    # (MVStore::rollback walks every written key's chain) — see DESIGN.md
+    # "Speculative global commit".
     # audit_spec_floor is deliberately NOT hot: it throws by contract.
     if (rel.startswith(("src/sdur/", "src/storage/"))
             and name.startswith(("speculate", "finalize", "rollback"))):

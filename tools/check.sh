@@ -14,11 +14,15 @@
 #   6. a -DSDUR_TRACE=OFF build: the tracing macros must compile to
 #      no-ops (the tracer-heavy tests plus the histogram suite run to
 #      prove the tree still builds and behaves without instrumentation);
-#   7. the test suite under ThreadSanitizer. The simulator is
+#   7. a -DSDUR_AUDIT=OFF build (the benchmark configuration): the audit
+#      hooks must compile out cleanly, and the golden-digest, equivalence
+#      and per-technique suites must reproduce the audited build's
+#      results bit for bit;
+#   8. the test suite under ThreadSanitizer. The simulator is
 #      single-threaded, so this is a smoke pass over the protocol tests;
 #      the slow end-to-end suites are excluded unless SDUR_CHECK_FULL=1.
 #
-# Build trees land in build-{werror,asan,glibcxx,traceoff,tsan}/ (see
+# Build trees land in build-{werror,asan,glibcxx,traceoff,audit-off,tsan}/ (see
 # CMakePresets.json for the equivalent presets). Knobs:
 #   SDUR_CHECK_JOBS=N   parallelism (default: nproc)
 #   SDUR_CHECK_FULL=1   run every test (including the multi-minute
@@ -45,12 +49,12 @@ run_ctest() { # <dir> <extra ctest args...>
   (cd "$dir" && ctest --output-on-failure -j "$JOBS" "$@")
 }
 
-bold "1/7 static analysis"
+bold "1/8 static analysis"
 mkdir -p bench_json
 python3 tools/analyze --selftest
 python3 tools/analyze --json bench_json/ANALYZE.json
 
-bold "2/7 clang-format / clang-tidy (optional)"
+bold "2/8 clang-format / clang-tidy (optional)"
 if command -v clang-format >/dev/null 2>&1; then
   mapfile -t fmt_files < <(git ls-files '*.h' '*.cpp')
   clang-format --dry-run --Werror "${fmt_files[@]}"
@@ -65,21 +69,21 @@ else
   echo "clang-tidy not installed — skipped (config: .clang-tidy)"
 fi
 
-bold "3/7 -Werror compile (-Wall -Wextra -Wconversion -Wshadow)"
+bold "3/8 -Werror compile (-Wall -Wextra -Wconversion -Wshadow)"
 configure_and_build build-werror -DCMAKE_CXX_FLAGS=-Werror
 echo "warnings-clean"
 
-bold "4/7 ASan + UBSan test suite"
+bold "4/8 ASan + UBSan test suite"
 configure_and_build build-asan -DSDUR_SANITIZE=asan
 ASAN_OPTIONS="detect_leaks=1:strict_string_checks=1:detect_stack_use_after_return=1" \
 UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1" \
   run_ctest build-asan
 
-bold "5/7 _GLIBCXX_ASSERTIONS test suite"
+bold "5/8 _GLIBCXX_ASSERTIONS test suite"
 configure_and_build build-glibcxx -DSDUR_GLIBCXX_ASSERTIONS=ON
 run_ctest build-glibcxx
 
-bold "6/7 SDUR_TRACE=OFF build"
+bold "6/8 SDUR_TRACE=OFF build"
 # The tracing macros must vanish cleanly: the whole tree compiles with
 # SDUR_TRACE=0 and the trace/histogram tests still pass (the equivalence
 # test proves the simulation itself never depended on the tracer).
@@ -88,7 +92,14 @@ configure_and_build build-traceoff -DSDUR_TRACE=OFF
 # instrumentation compiled out there is nothing to attribute or export.
 run_ctest build-traceoff -R 'Trace|Histogram'
 
-bold "7/7 TSan test suite"
+bold "7/8 SDUR_AUDIT=OFF build"
+# Audit hooks wrap protocol code throughout src/; an audit-off compile
+# has broken silently before. The digest pins hold in both flavours
+# because the audit never influences results.
+configure_and_build build-audit-off -DSDUR_AUDIT=OFF
+run_ctest build-audit-off -R 'Golden|Legacy|Equiv|Digest|Speculation|ConvoyBypass|VoteBatch'
+
+bold "8/8 TSan test suite"
 if [[ "$SKIP_TSAN" == "1" ]]; then
   echo "skipped (SDUR_CHECK_SKIP_TSAN=1)"
 else
