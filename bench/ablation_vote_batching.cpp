@@ -78,7 +78,8 @@ ArmResult run_arm(const MicroSetup& setup, std::uint32_t clients, std::size_t ri
   out.messages_sent = r.net.messages_sent;
   out.votes_batched = r.servers.votes_batched;
   out.votes_piggybacked = r.servers.votes_piggybacked;
-  out.repair_unicasts = setup.techniques.vote_batching ? r.net.per_type_count.at(msgtype::kVote) : 0;
+  out.repair_unicasts =
+      setup.techniques.vote_batching ? r.net.per_type_count.at(msgtype::kVote) : 0;
 #if SDUR_TRACE
   tracer.set_enabled(false);
   const trace::Breakdown b = trace::build_breakdown(tracer);

@@ -173,8 +173,10 @@ int main(int argc, char** argv) {
 
   std::printf("\n==== Certification conflict check: window scan vs key index ====\n");
   const std::vector<std::size_t> depths =
-      smoke ? std::vector<std::size_t>{64, 512} : std::vector<std::size_t>{64, 256, 1024, 4096, 16384};
-  const std::vector<std::size_t> set_sizes = smoke ? std::vector<std::size_t>{8} : std::vector<std::size_t>{4, 16};
+      smoke ? std::vector<std::size_t>{64, 512}
+            : std::vector<std::size_t>{64, 256, 1024, 4096, 16384};
+  const std::vector<std::size_t> set_sizes =
+      smoke ? std::vector<std::size_t>{8} : std::vector<std::size_t>{4, 16};
   int rc = 0;
   for (const bool bloom : {false, true}) {
     print_header(bloom ? "bloom readsets" : "exact readsets");

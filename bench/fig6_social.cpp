@@ -73,9 +73,10 @@ int main() {
         }
       }
 
-      std::printf("\n%s, %s (%u clients, total %.0f tps):\n", c.name,
-                  threshold == 0 ? "baseline" : ("reordering R=" + std::to_string(threshold)).c_str(),
-                  n, r.throughput());
+      const std::string mode =
+          threshold == 0 ? "baseline" : "reordering R=" + std::to_string(threshold);
+      std::printf("\n%s, %s (%u clients, total %.0f tps):\n", c.name, mode.c_str(), n,
+                  r.throughput());
       print_class_row("timeline (global RO)", r, "timeline");
       print_class_row("post (local)", r, "post");
       print_class_row("follow (local)", r, "follow");

@@ -22,7 +22,8 @@ int main(int argc, char** argv) {
   auto& rep = report_open("fig8_pdur_cores");
   print_header("P-DUR — local throughput vs. simulated cores (LAN, 1 partition)");
 
-  const std::vector<double> crosses = smoke ? std::vector<double>{0.20} : std::vector<double>{0.0, 0.05, 0.20};
+  const std::vector<double> crosses =
+      smoke ? std::vector<double>{0.20} : std::vector<double>{0.0, 0.05, 0.20};
   const std::vector<std::uint32_t> core_counts =
       smoke ? std::vector<std::uint32_t>{1, 4} : std::vector<std::uint32_t>{1, 2, 4, 8};
   for (double cross : crosses) {

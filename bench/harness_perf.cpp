@@ -198,7 +198,9 @@ FabricMetrics run_e2e(std::uint32_t clients, sim::Time measure) {
   m.counters = sim::fabric_counters();
   std::printf("  %-12s sim tput=%.0f tps (sanity: committed work was done)\n", "",
               r.throughput());
-  if (auto* rep = report()) rep->row().str("section", "sdur_e2e_sim").num("tput_tps", r.throughput());
+  if (auto* rep = report()) {
+    rep->row().str("section", "sdur_e2e_sim").num("tput_tps", r.throughput());
+  }
   return m;
 }
 

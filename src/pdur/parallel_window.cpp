@@ -55,48 +55,41 @@ bool ParallelWindow::lane_scan_vote(const Lane& lane, const util::KeySet& rs_c,
   return false;
 }
 
-bool ParallelWindow::lane_indexed_vote(const Lane& lane, const util::KeySet& rs_c,
-                                       const util::KeySet& ws_c, bool global,
-                                       storage::Version st) const {
-  // Component A: the lane's projected readset vs its entries' write keys.
-  // A bloom probe readset cannot drive key probes — scan the lane suffix.
-  if (rs_c.is_bloom() && !rs_c.empty()) {
-    auto it = std::lower_bound(
-        lane.entries.begin(), lane.entries.end(), st + 1,
-        [](const Entry& e, storage::Version v) { return e.version < v; });
-    for (; it != lane.entries.end(); ++it) {
-      ++scanned_;
-      if (rs_c.intersects(it->write_keys)) return true;
-    }
-  } else {
-    scanned_ += rs_c.keys().size();
-    if (lane.index.reads_conflict(rs_c, st)) return true;
-    const auto& bws = lane.index.bloom_write_versions();
-    for (auto it = std::upper_bound(bws.begin(), bws.end(), st); it != bws.end(); ++it) {
-      ++scanned_;
-      if (rs_c.intersects(lane_entry(lane, *it).write_keys)) return true;
-    }
+/// One lane as CertIndex::conflicts() reads it. Every entry it touches
+/// counts one work unit in scanned_.
+struct ParallelWindow::LaneRecords {
+  const ParallelWindow& w;
+  const Lane& lane;
+
+  storage::RecordSets at(storage::Version v) const {
+    ++w.scanned_;
+    const Entry& e = w.lane_entry(lane, v);
+    return {e.readset, e.write_keys};
   }
-  if (!global) return false;
-  // Component B: the lane's projected write keys vs its entries' readsets.
-  if (ws_c.is_bloom() && !ws_c.empty()) {
+
+  template <typename Fn>
+  bool any_after(storage::Version st, Fn&& fn) const {
     auto it = std::lower_bound(
         lane.entries.begin(), lane.entries.end(), st + 1,
         [](const Entry& e, storage::Version v) { return e.version < v; });
     for (; it != lane.entries.end(); ++it) {
-      ++scanned_;
-      if (ws_c.intersects(it->readset)) return true;
+      ++w.scanned_;
+      if (fn(storage::RecordSets{it->readset, it->write_keys})) return true;
     }
     return false;
   }
-  scanned_ += ws_c.keys().size();
-  if (lane.index.writes_conflict(ws_c, st)) return true;
-  const auto& brs = lane.index.bloom_read_versions();
-  for (auto it = std::upper_bound(brs.begin(), brs.end(), st); it != brs.end(); ++it) {
-    ++scanned_;
-    if (ws_c.intersects(lane_entry(lane, *it).readset)) return true;
-  }
-  return false;
+};
+
+bool ParallelWindow::lane_indexed_vote(const Lane& lane, const util::KeySet& rs_c,
+                                       const util::KeySet& ws_c, bool global,
+                                       storage::Version st) const {
+  // The lane's projected sets against its entries: key probes into the
+  // lane sub-index, the lane's bloom suffix, or a lane scan for a bloom
+  // probe set. Index probes count as work units too.
+  const std::uint64_t probes_before = lane.index.probes();
+  const bool vote = lane.index.conflicts(rs_c, ws_c, global, st, LaneRecords{*this, lane});
+  scanned_ += lane.index.probes() - probes_before;
+  return vote;
 }
 
 bool ParallelWindow::conflicts(const util::KeySet& readset, const util::KeySet& write_keys,
@@ -112,8 +105,8 @@ bool ParallelWindow::conflicts(const util::KeySet& readset, const util::KeySet& 
     // lane_indexed_vote; attributed to the current delivery via the tracer
     // context the dispatcher set.
     SDUR_TRACE_STMT({
-      const bool scans = (rs_c.is_bloom() && !rs_c.empty()) ||
-                         (global && ws_c.is_bloom() && !ws_c.empty());
+      const bool scans = storage::CertIndex::scans(rs_c) ||
+                         (global && storage::CertIndex::scans(ws_c));
       SDUR_TRACE_CONTEXT_INSTANT(scans ? trace::Point::kCertScanFallback
                                        : trace::Point::kCertIndexProbe,
                                  static_cast<std::uint64_t>(c));

@@ -88,7 +88,8 @@ class ParallelWindow {
   /// Entries in one core's lane.
   std::size_t lane_size(CoreId c) const { return lanes_[c].entries.size(); }
   /// Cumulative certification work units: index key probes plus lane
-  /// entries touched by fallback scans (the cost P-DUR divides by K).
+  /// entries touched by bloom-suffix walks and fallback scans (the cost
+  /// P-DUR divides by K).
   std::uint64_t scanned() const { return scanned_; }
 
  private:
@@ -110,6 +111,8 @@ class ParallelWindow {
   /// Lane vote via the sub-index (bit-identical to lane_scan_vote).
   bool lane_indexed_vote(const Lane& lane, const util::KeySet& rs_c, const util::KeySet& ws_c,
                          bool global, storage::Version st) const;
+  /// One lane as a record accessor for storage::CertIndex::conflicts().
+  struct LaneRecords;
   /// Lane entry holding version `v` (binary search; must exist).
   const Entry& lane_entry(const Lane& lane, storage::Version v) const;
 

@@ -34,49 +34,33 @@ bool Certifier::scan_conflict(const PartTx& t, Version st) const {
   return false;
 }
 
-bool Certifier::indexed_conflict(const PartTx& t, Version st) const {
-  if (st >= cc_) return false;  // nothing serialized after the snapshot
-  // Component A: rs(t) vs the write keys of every slot in (st, cc]. Write
-  // keys are always exact, so the last-writer index covers every slot; a
-  // bloom probe readset cannot drive key probes and falls back to the
-  // scan for this component.
-  if (t.readset.is_bloom() && !t.readset.empty()) {
-    const Version from = std::max(st + 1, base_);
-    for (Version v = from; v <= cc_; ++v) {
-      if (t.readset.intersects(slots_[static_cast<std::size_t>(v - base_)].write_keys)) {
-        return true;
-      }
-    }
-  } else {
-    if (index_.reads_conflict(t.readset, st)) return true;
-    const auto& bws = index_.bloom_write_versions();
-    for (auto it = std::upper_bound(bws.begin(), bws.end(), st); it != bws.end(); ++it) {
-      if (t.readset.intersects(slots_[static_cast<std::size_t>(*it - base_)].write_keys)) {
-        return true;
-      }
-    }
+/// The window slots as CertIndex::conflicts() reads them: the slot for
+/// version v sits at slots_[v - base_], and every version in [base_, cc_]
+/// has one.
+struct Certifier::SlotRecords {
+  const Certifier& c;
+
+  storage::RecordSets at(Version v) const {
+    const Slot& s = c.slots_[static_cast<std::size_t>(v - c.base_)];
+    return {s.readset, s.write_keys};
   }
-  if (!t.is_global()) return false;
-  // Component B: ws(t) vs the readsets of slots in (st, cc] (Section
-  // III-B). Slots carrying bloom readsets cannot be key-indexed — scan
-  // only that suffix, preserving ablation_bloom semantics.
-  if (t.write_keys.is_bloom() && !t.write_keys.empty()) {
-    const Version from = std::max(st + 1, base_);
-    for (Version v = from; v <= cc_; ++v) {
-      if (t.write_keys.intersects(slots_[static_cast<std::size_t>(v - base_)].readset)) {
-        return true;
-      }
+
+  template <typename Fn>
+  bool any_after(Version st, Fn&& fn) const {
+    for (Version v = std::max(st + 1, c.base_); v <= c.cc_; ++v) {
+      if (fn(at(v))) return true;
     }
     return false;
   }
-  if (index_.writes_conflict(t.write_keys, st)) return true;
-  const auto& brs = index_.bloom_read_versions();
-  for (auto it = std::upper_bound(brs.begin(), brs.end(), st); it != brs.end(); ++it) {
-    if (t.write_keys.intersects(slots_[static_cast<std::size_t>(*it - base_)].readset)) {
-      return true;
-    }
-  }
-  return false;
+};
+
+bool Certifier::indexed_conflict(const PartTx& t, Version st) const {
+  if (st >= cc_) return false;  // nothing serialized after the snapshot
+  // Write keys are always exact, so the last-writer index covers component
+  // A for every slot; a bloom probe readset scans the slots instead.
+  // Component B (globals) probes the last-reader index and walks only the
+  // slots whose readsets are bloom-encoded (Section III-B).
+  return index_.conflicts(t.readset, t.write_keys, t.is_global(), st, SlotRecords{*this});
 }
 
 bool Certifier::has_conflict(const PartTx& t, Version st) const {
@@ -127,8 +111,8 @@ Certifier::Result Certifier::process(const PartTx& t, std::uint64_t rt, std::uin
     // scan for that component; otherwise the key index answers. aux is the
     // window depth actually certified against.
     SDUR_TRACE_STMT({
-      const bool scans = (t.readset.is_bloom() && !t.readset.empty()) ||
-                         (t.is_global() && t.write_keys.is_bloom() && !t.write_keys.empty());
+      const bool scans = storage::CertIndex::scans(t.readset) ||
+                         (t.is_global() && storage::CertIndex::scans(t.write_keys));
       const std::uint64_t depth = st >= cc_ ? 0 : static_cast<std::uint64_t>(cc_ - st);
       SDUR_TRACE_CONTEXT_INSTANT(scans ? trace::Point::kCertScanFallback
                                        : trace::Point::kCertIndexProbe,
@@ -148,6 +132,9 @@ Certifier::Result Certifier::process(const PartTx& t, std::uint64_t rt, std::uin
     // completed at other replicas) and commuting with t in both directions
     // (so the already-sent votes and the version order stay valid).
     std::size_t leftmost = pl_.size();
+    // ws(t) is tested against the readset of every global it leaps; with
+    // bloom readsets its keys are hashed once for the whole walk.
+    const util::HashedKeys ws_hashed(t.write_keys);
     for (std::size_t k = pl_.size(); k-- > 0;) {
       const PendingEntry& pk = pl_[k];
       // Under the bypass gate a local must additionally be write-disjoint
@@ -157,7 +144,7 @@ Certifier::Result Certifier::process(const PartTx& t, std::uint64_t rt, std::uin
       // subset of rs(t) and the extra conjunct is implied; gated on the
       // config so the default-off path stays bit-identical.
       const bool leapable = pk.tx.is_global() && pk.rt >= dc &&
-                            !t.write_keys.intersects(pk.tx.readset) &&
+                            !ws_hashed.intersects(pk.tx.readset) &&
                             !t.readset.intersects(pk.tx.write_keys) &&
                             (!ooo_bypass_ || !t.write_keys.intersects(pk.tx.write_keys));
       if (!leapable) break;

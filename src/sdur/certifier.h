@@ -223,6 +223,8 @@ class Certifier {
   bool scan_conflict(const PartTx& t, Version st) const;
   /// Indexed strategy: key probes + bloom-suffix scan over slots_.
   bool indexed_conflict(const PartTx& t, Version st) const;
+  /// slots_ as a record accessor for storage::CertIndex::conflicts().
+  struct SlotRecords;
   /// Rebuilds the per-core lanes and the key index from slots_ (after
   /// install()).
   void rebuild_window();

@@ -6,8 +6,8 @@ namespace sdur {
 
 namespace {
 sim::Topology topology_for(const DeploymentSpec& spec) {
-  sim::Topology t =
-      spec.kind == DeploymentSpec::Kind::kLan ? sim::Topology::lan() : sim::Topology::ec2_three_regions();
+  sim::Topology t = spec.kind == DeploymentSpec::Kind::kLan ? sim::Topology::lan()
+                                                            : sim::Topology::ec2_three_regions();
   t.set_jitter(spec.jitter);
   return t;
 }

@@ -32,7 +32,8 @@ using PartitioningPtr = std::shared_ptr<const Partitioning>;
 class RangePartitioning final : public Partitioning {
  public:
   RangePartitioning(PartitionId count, std::uint64_t keys_per_partition)
-      : Partitioning(count), keys_per_partition_(keys_per_partition == 0 ? 1 : keys_per_partition) {}
+      : Partitioning(count),
+        keys_per_partition_(keys_per_partition == 0 ? 1 : keys_per_partition) {}
 
   PartitionId partition_of(Key k) const override {
     const auto p = static_cast<PartitionId>(k / keys_per_partition_);

@@ -46,8 +46,9 @@ Server::Server(sim::Network& net, sim::ProcessId pid, sim::Location loc, ServerC
     // Paxos engine traffic is intra-group today, but cross-partition
     // forwards relayed through the engine (leader changes) also pass here;
     // the wrapper is identity for same-partition destinations.
-    engine_->set_send_wrapper(
-        [this](sim::ProcessId to, sim::Message m) { return maybe_piggyback_pid(to, std::move(m)); });
+    engine_->set_send_wrapper([this](sim::ProcessId to, sim::Message m) {
+      return maybe_piggyback_pid(to, std::move(m));
+    });
   }
 }
 

@@ -29,14 +29,25 @@
 //   * a *probe* set that is bloom-encoded cannot drive key probes at all —
 //     the caller falls back to the legacy scan for that component.
 //
+// conflicts() composes these pieces into the full A/B verdict over a
+// caller-supplied record accessor, so the three consumers
+// (sdur::Certifier, storage::CommitWindow, the P-DUR
+// pdur::ParallelWindow lanes) share one implementation of the key probes,
+// the bloom-suffix walk and the scan fallback. Each consumer keeps its
+// own legacy scan, which audit builds re-run as the independent reference
+// ("index-scan-equivalence").
+//
+// HASH ONCE. A bloom-suffix walk tests the same exact probe keys against
+// every suffix record's filter. The keys' base hashes depend on the key
+// alone (util::BloomFilter::KeyHash), so the walk hashes them once per
+// check (util::HashedKeys) rather than once per record; each filter probe
+// then stops at its first clear bit. Both leave every verdict unchanged.
+//
 // The index is maintained incrementally: insert() on commit, evict() when
 // the window drops its oldest record (the evicted record's sets are
 // re-presented, so a key's entry is erased exactly when its newest
 // reader/writer leaves the window), clear()+reinsert on checkpoint
-// install. Consumers (sdur::Certifier, storage::CommitWindow, the P-DUR
-// pdur::ParallelWindow lanes) compose these pieces and cross-check the
-// result against the legacy scan under SDUR_AUDIT
-// ("index-scan-equivalence").
+// install.
 //
 // DETERMINISM. The index is probe-only: no operation iterates the hash
 // table (tools/analyze rule cert-index-iteration), so hash
@@ -44,6 +55,7 @@
 // version order by construction.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 
@@ -53,8 +65,56 @@
 
 namespace sdur::storage {
 
+/// One window record's sets, as CertIndex::conflicts() reads them.
+struct RecordSets {
+  const util::KeySet& readset;
+  const util::KeySet& writeset;
+};
+
 class CertIndex {
  public:
+  /// True iff `probe` cannot drive key probes (a non-empty bloom set
+  /// cannot be enumerated), so its component falls back to the scan.
+  static bool scans(const util::KeySet& probe) { return probe.is_bloom() && !probe.empty(); }
+
+  /// The certification verdict for a probe with readset `rs`, writeset
+  /// `ws` and snapshot `st`: true iff some window record newer than st
+  /// wrote a key of rs (component A) or, for a global probe, read a key
+  /// of ws (component B). `records` is the window's record accessor:
+  ///
+  ///   records.at(v)             -> RecordSets of the record at version v
+  ///                                (v from a bloom suffix list);
+  ///   records.any_after(st, fn) -> true as soon as fn(RecordSets) does,
+  ///                                visiting the records newer than st in
+  ///                                ascending version order (the fallback
+  ///                                scan for a bloom probe set).
+  ///
+  /// Bit-identical to testing KeySet::intersects against every record
+  /// newer than st; the caller's audit re-runs exactly that scan.
+  template <typename Records>
+  bool conflicts(const util::KeySet& rs, const util::KeySet& ws, bool global, Version st,
+                 const Records& records) const {
+    if (scans(rs)) {
+      if (records.any_after(st, [&](RecordSets r) { return rs.intersects(r.writeset); })) {
+        return true;
+      }
+    } else if (reads_conflict(rs, st) ||
+               suffix_conflict(bloom_ws_, rs, st,
+                               [&](Version v) -> const util::KeySet& {
+                                 return records.at(v).writeset;
+                               })) {
+      return true;
+    }
+    if (!global) return false;
+    if (scans(ws)) {
+      return records.any_after(st, [&](RecordSets r) { return ws.intersects(r.readset); });
+    }
+    return writes_conflict(ws, st) ||
+           suffix_conflict(bloom_rs_, ws, st, [&](Version v) -> const util::KeySet& {
+             return records.at(v).readset;
+           });
+  }
+
   /// Registers the commit record for `v`. Versions must be inserted in
   /// strictly increasing order (they are: window pushes are ordered).
   void insert(Version v, const util::KeySet& readset, const util::KeySet& writeset);
@@ -87,6 +147,21 @@ class CertIndex {
   std::uint64_t probes() const { return probes_; }
 
  private:
+  /// The bloom-suffix walk: true iff the exact `probe` intersects the
+  /// set `set_of(v)` of some suffix record with version > st. The probe
+  /// keys are hashed once for the whole walk.
+  template <typename SetOf>
+  static bool suffix_conflict(const std::deque<Version>& suffix, const util::KeySet& probe,
+                              Version st, SetOf&& set_of) {
+    auto it = std::upper_bound(suffix.begin(), suffix.end(), st);
+    if (it == suffix.end()) return false;
+    const util::HashedKeys hashed(probe);
+    for (; it != suffix.end(); ++it) {
+      if (hashed.intersects(set_of(*it))) return true;
+    }
+    return false;
+  }
+
   /// Sentinel "no record in the window reads/writes this key". All real
   /// window versions are >= 0 and snapshots are >= -1, so the sentinel
   /// never compares as newer than a snapshot.

@@ -37,47 +37,27 @@ void CommitWindow::push(Version version, CommitRecord rec) {
   ++count_;
 }
 
+/// The ring as CertIndex::conflicts() reads it.
+struct CommitWindow::Records {
+  const CommitWindow& w;
+
+  RecordSets at(Version v) const {
+    const CommitRecord& r = w.at(v);
+    return {r.readset, r.writeset};
+  }
+
+  template <typename Fn>
+  bool any_after(Version st, Fn&& fn) const {
+    return !w.scan_after(st, [&](const CommitRecord& r) {
+      return !fn(RecordSets{r.readset, r.writeset});
+    });
+  }
+};
+
 bool CommitWindow::conflicts_indexed(const util::KeySet& rs, const util::KeySet& ws, bool global,
                                      Version st) const {
   if (count_ == 0 || st >= newest()) return false;
-  // Component A: rs vs committed writesets. A bloom probe readset cannot
-  // drive key probes — fall back to the legacy scan for this component.
-  if (rs.is_bloom() && !rs.empty()) {
-    bool hit = false;
-    scan_after(st, [&](const CommitRecord& r) {
-      if (rs.intersects(r.writeset)) {
-        hit = true;
-        return false;
-      }
-      return true;
-    });
-    if (hit) return true;
-  } else {
-    if (index_.reads_conflict(rs, st)) return true;
-    const auto& bws = index_.bloom_write_versions();
-    for (auto it = std::upper_bound(bws.begin(), bws.end(), st); it != bws.end(); ++it) {
-      if (rs.intersects(at(*it).writeset)) return true;
-    }
-  }
-  if (!global) return false;
-  // Component B: ws vs committed readsets (global transactions only).
-  if (ws.is_bloom() && !ws.empty()) {
-    bool hit = false;
-    scan_after(st, [&](const CommitRecord& r) {
-      if (ws.intersects(r.readset)) {
-        hit = true;
-        return false;
-      }
-      return true;
-    });
-    return hit;
-  }
-  if (index_.writes_conflict(ws, st)) return true;
-  const auto& brs = index_.bloom_read_versions();
-  for (auto it = std::upper_bound(brs.begin(), brs.end(), st); it != brs.end(); ++it) {
-    if (ws.intersects(at(*it).readset)) return true;
-  }
-  return false;
+  return index_.conflicts(rs, ws, global, st, Records{*this});
 }
 
 }  // namespace sdur::storage

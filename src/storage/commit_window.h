@@ -120,6 +120,9 @@ class CommitWindow {
   const CertIndex& index() const { return index_; }
 
  private:
+  /// The ring as a record accessor for CertIndex::conflicts().
+  struct Records;
+
   const CommitRecord& at(Version v) const {
     return ring_[(head_ + static_cast<std::size_t>(v - base_)) % ring_.size()];
   }

@@ -20,28 +20,19 @@ BloomFilter BloomFilter::for_capacity(std::size_t n, double fp) {
   return BloomFilter(bits, std::max<std::uint32_t>(hashes, 1));
 }
 
-void BloomFilter::bit_positions(std::uint64_t key, std::uint32_t* out) const {
-  const std::uint64_t h1 = mix64(key);
-  const std::uint64_t h2 = mix64(key ^ 0x9E3779B97F4A7C15ULL);
-  for (std::uint32_t i = 0; i < hashes_; ++i) {
-    out[i] = static_cast<std::uint32_t>(nth_hash(h1, h2, i) % bits_);
-  }
-}
-
 void BloomFilter::insert(std::uint64_t key) {
-  std::uint32_t pos[16];
-  bit_positions(key, pos);
+  const KeyHash h = hash(key);
   for (std::uint32_t i = 0; i < hashes_; ++i) {
-    words_[pos[i] >> 6] |= 1ULL << (pos[i] & 63);
+    const std::uint32_t pos = position(h, i);
+    words_[pos >> 6] |= 1ULL << (pos & 63);
   }
   ++count_;
 }
 
-bool BloomFilter::may_contain(std::uint64_t key) const {
-  std::uint32_t pos[16];
-  bit_positions(key, pos);
+bool BloomFilter::may_contain(const KeyHash& h) const {
   for (std::uint32_t i = 0; i < hashes_; ++i) {
-    if ((words_[pos[i] >> 6] & (1ULL << (pos[i] & 63))) == 0) return false;
+    const std::uint32_t pos = position(h, i);
+    if ((words_[pos >> 6] & (1ULL << (pos & 63))) == 0) return false;
   }
   return true;
 }
@@ -153,6 +144,29 @@ KeySet KeySet::decode(Reader& r) {
     for (std::uint64_t i = 0; i < n; ++i) s.keys_.push_back(r.u64());
   }
   return s;
+}
+
+HashedKeys::HashedKeys(const KeySet& keys) : set_(keys) {
+  if (keys.is_bloom_) return;  // a bloom probe set has no keys to hash
+  hashed_ = std::min(keys.keys_.size(), kInline);
+  for (std::size_t i = 0; i < hashed_; ++i) hashes_[i] = BloomFilter::hash(keys.keys_[i]);
+}
+
+bool HashedKeys::intersects(const KeySet& other) const {
+  // Only exact-vs-bloom probes hash; every other mode pairing is
+  // KeySet::intersects itself.
+  if (set_.is_bloom_ || !other.is_bloom_ || set_.empty() || other.empty()) {
+    return set_.intersects(other);
+  }
+  const BloomFilter& filter = other.bloom_;
+  for (std::size_t i = 0; i < hashed_; ++i) {
+    if (filter.may_contain(hashes_[i])) return true;
+  }
+  const std::vector<std::uint64_t>& keys = set_.keys_;
+  for (std::size_t i = hashed_; i < keys.size(); ++i) {
+    if (filter.may_contain(keys[i])) return true;
+  }
+  return false;
 }
 
 }  // namespace sdur::util

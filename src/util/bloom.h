@@ -6,6 +6,7 @@
 // small false-positive abort rate for large bandwidth and memory savings.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -21,6 +22,18 @@ namespace sdur::util {
 /// positive rate.
 class BloomFilter {
  public:
+  /// The two base hashes a key's bit positions derive from (double
+  /// hashing: position i is nth_hash(h1, h2, i) % bits). They depend on
+  /// the key alone, not on a filter's geometry, so one KeyHash serves
+  /// probes against any number of filters: hash once, probe many.
+  struct KeyHash {
+    std::uint64_t h1;
+    std::uint64_t h2;
+  };
+  static KeyHash hash(std::uint64_t key) {
+    return {mix64(key), mix64(key ^ 0x9E3779B97F4A7C15ULL)};
+  }
+
   BloomFilter() : BloomFilter(64, 4) {}
   BloomFilter(std::uint32_t bits, std::uint32_t hashes);
 
@@ -28,7 +41,13 @@ class BloomFilter {
   static BloomFilter for_capacity(std::size_t n, double fp);
 
   void insert(std::uint64_t key);
-  bool may_contain(std::uint64_t key) const;
+
+  /// Membership probe. Positions are derived one at a time, in insert()'s
+  /// order, and the probe returns at the first clear bit: same verdict as
+  /// testing every position, but a sparse filter usually answers "no"
+  /// after one or two of its `hashes` modulo operations.
+  bool may_contain(const KeyHash& h) const;
+  bool may_contain(std::uint64_t key) const { return may_contain(hash(key)); }
 
   /// True if no element of `other` can be in this filter (guaranteed empty
   /// intersection). False means the intersection *may* be non-empty.
@@ -50,7 +69,10 @@ class BloomFilter {
   bool operator==(const BloomFilter& other) const = default;
 
  private:
-  void bit_positions(std::uint64_t key, std::uint32_t* out) const;
+  /// Bit position `i` of a key (0 <= i < hashes_).
+  std::uint32_t position(const KeyHash& h, std::uint32_t i) const {
+    return static_cast<std::uint32_t>(nth_hash(h.h1, h.h2, i) % bits_);
+  }
 
   std::uint32_t bits_;
   std::uint32_t hashes_;
@@ -90,9 +112,33 @@ class KeySet {
   const std::vector<std::uint64_t>& keys() const { return keys_; }
 
  private:
+  friend class HashedKeys;
+
   bool is_bloom_ = false;
   std::vector<std::uint64_t> keys_;  // sorted, exact mode
   BloomFilter bloom_;                // bloom mode
+};
+
+/// A probe set whose keys' bloom hashes are computed once, for testing one
+/// set against many bloom-encoded sets (a certification walks a window
+/// of bloom readsets with the same write keys). intersects() returns
+/// exactly KeySet::intersects(other) and probes keys in the same order;
+/// only the per-key hashing is shared. The hashes live inline, so the
+/// first kInline keys are hashed once and any further keys are hashed per
+/// probe as before — no allocation either way. Holds a reference to
+/// `keys`, which must outlive it.
+class HashedKeys {
+ public:
+  static constexpr std::size_t kInline = 16;
+
+  explicit HashedKeys(const KeySet& keys);
+
+  bool intersects(const KeySet& other) const;
+
+ private:
+  const KeySet& set_;
+  std::size_t hashed_ = 0;  // keys with a precomputed hash (exact mode)
+  std::array<BloomFilter::KeyHash, kInline> hashes_;
 };
 
 }  // namespace sdur::util

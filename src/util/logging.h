@@ -35,7 +35,8 @@ class Logger {
 namespace detail {
 class LogLine {
  public:
-  LogLine(LogLevel level, std::string component) : level_(level), component_(std::move(component)) {}
+  LogLine(LogLevel level, std::string component)
+      : level_(level), component_(std::move(component)) {}
   ~LogLine() { Logger::instance().write(level_, component_, stream_.str()); }
   template <typename T>
   LogLine& operator<<(const T& v) {

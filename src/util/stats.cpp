@@ -24,7 +24,8 @@ std::size_t Histogram::bucket_index(std::int64_t value) const {
   const int msb = 63 - std::countl_zero(v);
   const int exponent = msb - sub_bits_ + 1;  // >= 1
   const std::uint64_t sub = v >> exponent;   // in [2^(sub_bits-1), 2^sub_bits)
-  std::size_t idx = (static_cast<std::size_t>(exponent) << sub_bits_) + static_cast<std::size_t>(sub);
+  std::size_t idx =
+      (static_cast<std::size_t>(exponent) << sub_bits_) + static_cast<std::size_t>(sub);
   return std::min(idx, buckets_.size() - 1);
 }
 

@@ -131,9 +131,10 @@ RunResult run_experiment(Deployment& dep, Workload& wl, const RunConfig& cfg) {
   return result;
 }
 
-std::uint32_t find_operating_point(const DeploymentFactory& make_dep, const WorkloadFactory& make_wl,
-                                   const RunConfig& probe, double fraction,
-                                   std::uint32_t start_clients, std::uint32_t max_clients) {
+std::uint32_t find_operating_point(const DeploymentFactory& make_dep,
+                                   const WorkloadFactory& make_wl, const RunConfig& probe,
+                                   double fraction, std::uint32_t start_clients,
+                                   std::uint32_t max_clients) {
   struct Point {
     std::uint32_t clients;
     double tput;
@@ -181,7 +182,8 @@ std::uint32_t find_operating_point(const DeploymentFactory& make_dep, const Work
     if (points[i].tput >= target) {
       if (i == 0) {
         candidate = std::max<std::uint32_t>(
-            1, static_cast<std::uint32_t>(points[0].clients * target / std::max(points[0].tput, 1.0)));
+            1, static_cast<std::uint32_t>(points[0].clients * target /
+                                          std::max(points[0].tput, 1.0)));
       } else {
         const double span = points[i].tput - points[i - 1].tput;
         const double alpha = span <= 0 ? 1.0 : (target - points[i - 1].tput) / span;

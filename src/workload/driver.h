@@ -126,8 +126,9 @@ using WorkloadFactory = std::function<std::unique_ptr<Workload>()>;
 /// reported at 75% of maximum performance). Uses short probe runs: client
 /// counts double until throughput stops improving, then the count is
 /// back-interpolated to the target.
-std::uint32_t find_operating_point(const DeploymentFactory& make_dep, const WorkloadFactory& make_wl,
-                                   const RunConfig& probe, double fraction = 0.75,
+std::uint32_t find_operating_point(const DeploymentFactory& make_dep,
+                                   const WorkloadFactory& make_wl, const RunConfig& probe,
+                                   double fraction = 0.75,
                                    std::uint32_t start_clients = 8,
                                    std::uint32_t max_clients = 4096);
 

@@ -55,7 +55,8 @@ class MicroWorkload final : public Workload {
   explicit MicroWorkload(MicroConfig cfg) : cfg_(std::move(cfg)) {}
 
   /// Partitioning matching this workload's key layout.
-  static PartitioningPtr make_partitioning(PartitionId partitions, std::uint64_t items_per_partition) {
+  static PartitioningPtr make_partitioning(PartitionId partitions,
+                                           std::uint64_t items_per_partition) {
     return std::make_shared<RangePartitioning>(partitions, items_per_partition);
   }
 

@@ -86,7 +86,9 @@ class SocialSession final : public Session {
   void start() override { next(); }
 
  private:
-  std::uint64_t user_in(PartitionId p) { return p + partitions_ * rng_.below(cfg_.users_per_partition); }
+  std::uint64_t user_in(PartitionId p) {
+    return p + partitions_ * rng_.below(cfg_.users_per_partition);
+  }
 
   std::uint64_t local_user() { return user_in(home_); }
 
@@ -122,7 +124,8 @@ class SocialSession final : public Session {
     }
     client_.begin_read_only([this, u, begin] {
       client_.read(social_key(u, kProducers), [this, begin](bool found, const std::string& value) {
-        const std::vector<std::uint64_t> follows = found ? decode_id_list(value) : std::vector<std::uint64_t>{};
+        const std::vector<std::uint64_t> follows =
+            found ? decode_id_list(value) : std::vector<std::uint64_t>{};
         if (follows.empty()) {
           client_.commit([this, begin](Outcome o) { finish("timeline", o, begin); });
           return;
@@ -200,8 +203,10 @@ class SocialSession final : public Session {
     const Key kv = social_key(v, kConsumers);
     client_.read_many({ku, kv}, [this, u, v, ku, kv, begin,
                                  global](std::vector<std::optional<std::string>> values) {
-      std::vector<std::uint64_t> prod = values[0] ? decode_id_list(*values[0]) : std::vector<std::uint64_t>{};
-      std::vector<std::uint64_t> cons = values[1] ? decode_id_list(*values[1]) : std::vector<std::uint64_t>{};
+      std::vector<std::uint64_t> prod =
+          values[0] ? decode_id_list(*values[0]) : std::vector<std::uint64_t>{};
+      std::vector<std::uint64_t> cons =
+          values[1] ? decode_id_list(*values[1]) : std::vector<std::uint64_t>{};
       if (prod.size() < cfg_.follows_cap &&
           std::find(prod.begin(), prod.end(), v) == prod.end()) {
         prod.push_back(v);

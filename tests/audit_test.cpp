@@ -166,7 +166,9 @@ TEST(Audit, AuditorCollectsContextAndResets) {
 #else  // !SDUR_AUDIT_ON
 
 namespace sdur {
-TEST(Audit, DisabledBuild) { GTEST_SKIP() << "built with SDUR_AUDIT=OFF; audit hooks compiled out"; }
+TEST(Audit, DisabledBuild) {
+  GTEST_SKIP() << "built with SDUR_AUDIT=OFF; audit hooks compiled out";
+}
 }  // namespace sdur
 
 #endif  // SDUR_AUDIT_ON

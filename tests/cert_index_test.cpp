@@ -275,7 +275,9 @@ TEST_P(ParallelWindowIndex, LaneSubIndexesMatchSerialReference) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Cores, ParallelWindowIndex, ::testing::Values(1u, 4u, 8u),
-                         [](const auto& param_info) { return "c" + std::to_string(param_info.param); });
+                         [](const auto& param_info) {
+                           return "c" + std::to_string(param_info.param);
+                         });
 
 }  // namespace
 }  // namespace sdur::pdur

@@ -283,7 +283,9 @@ TEST(Integration, FindOperatingPointReturnsReasonableClientCount) {
   mc.items_per_partition = 2'000;
   mc.global_fraction = 0.0;
 
-  auto make_dep = [&]() { return make_micro_dep(DeploymentSpec::Kind::kLan, 2, mc.items_per_partition); };
+  auto make_dep = [&]() {
+    return make_micro_dep(DeploymentSpec::Kind::kLan, 2, mc.items_per_partition);
+  };
   auto make_wl = [&]() { return std::make_unique<MicroWorkload>(mc); };
 
   RunConfig probe;

@@ -23,9 +23,9 @@ class Host : public sim::Process {
  public:
   Host(sim::Network& net, sim::ProcessId pid, sim::Location loc, GroupConfig cfg)
       : sim::Process(net, pid, "h" + std::to_string(pid), loc) {
-    engine_ = std::make_unique<PaxosEngine>(*this, std::move(cfg),
-                                            std::make_unique<InMemoryDurableLog>(),
-                                            [this](const Value& v) { delivered.push_back(int_of(v)); });
+    engine_ = std::make_unique<PaxosEngine>(
+        *this, std::move(cfg), std::make_unique<InMemoryDurableLog>(),
+        [this](const Value& v) { delivered.push_back(int_of(v)); });
   }
   PaxosEngine& engine() { return *engine_; }
   std::vector<std::uint64_t> delivered;
@@ -105,7 +105,8 @@ TEST(PaxosRobustness, StaleProposerGetsNacked) {
   g.run_for(sim::msec(50));
   // A Phase2A at the old ballot must be rejected.
   const Ballot stale = Ballot::make(1, 0);
-  g.net->send(g.hosts[0]->self(), g.hosts[2]->self(), Phase2A{stale, 99, int_value(7)}.to_message());
+  g.net->send(g.hosts[0]->self(), g.hosts[2]->self(),
+              Phase2A{stale, 99, int_value(7)}.to_message());
   g.run_for(sim::msec(100));
   EXPECT_TRUE(g.hosts[2]->delivered.empty());
   EXPECT_FALSE(g.hosts[2]->engine().log().load_accepted(99).has_value())

@@ -24,9 +24,9 @@ class PaxosHost : public sim::Process {
  public:
   PaxosHost(sim::Network& net, sim::ProcessId pid, sim::Location loc, GroupConfig cfg)
       : sim::Process(net, pid, "paxos-" + std::to_string(pid), loc) {
-    engine_ = std::make_unique<PaxosEngine>(*this, std::move(cfg),
-                                            std::make_unique<InMemoryDurableLog>(),
-                                            [this](const Value& v) { delivered.push_back(int_of(v)); });
+    engine_ = std::make_unique<PaxosEngine>(
+        *this, std::move(cfg), std::make_unique<InMemoryDurableLog>(),
+        [this](const Value& v) { delivered.push_back(int_of(v)); });
   }
 
   void start() { engine_->start(); }

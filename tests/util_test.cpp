@@ -2,10 +2,13 @@
 // Zipf generator, RNG determinism.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <set>
 
 #include "util/bloom.h"
 #include "util/bytes.h"
+#include "util/hash.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/zipf.h"
@@ -114,6 +117,204 @@ TEST(Bloom, EncodeDecodeRoundTrip) {
   Reader r(w.data());
   BloomFilter g = BloomFilter::decode(r);
   EXPECT_EQ(f, g);
+}
+
+// --- Early-exit / pre-hashed probes vs the all-positions reference --------
+
+/// The probe as it was first written: derive every bit position, then
+/// test them all. The production probe derives positions one at a time and
+/// stops at the first clear bit; the verdicts, the bit positions and the
+/// encoded bytes must match this reference exactly.
+class ReferenceBloom {
+ public:
+  ReferenceBloom(std::uint32_t bits, std::uint32_t hashes)
+      : bits_(std::max<std::uint32_t>(bits, 64)),
+        hashes_(std::clamp<std::uint32_t>(hashes, 1, 16)),
+        words_((bits_ + 63) / 64, 0) {}
+
+  void insert(std::uint64_t key) {
+    std::uint32_t pos[16];
+    positions(key, pos);
+    for (std::uint32_t i = 0; i < hashes_; ++i) words_[pos[i] >> 6] |= 1ULL << (pos[i] & 63);
+    ++count_;
+  }
+
+  bool may_contain(std::uint64_t key) const {
+    std::uint32_t pos[16];
+    positions(key, pos);
+    bool all = true;
+    for (std::uint32_t i = 0; i < hashes_; ++i) {
+      all = all && (words_[pos[i] >> 6] & (1ULL << (pos[i] & 63))) != 0;
+    }
+    return all;
+  }
+
+  bool overlaps(const ReferenceBloom& other) const {
+    for (std::size_t i = 0; i < words_.size(); ++i) {
+      if ((words_[i] & other.words_[i]) != 0) return true;
+    }
+    return false;
+  }
+
+  /// BloomFilter::encode's layout.
+  Bytes encoded() const {
+    Writer w;
+    w.u32(bits_);
+    w.u32(hashes_);
+    w.varint(count_);
+    for (std::uint64_t word : words_) w.u64(word);
+    return w.data();
+  }
+
+  std::uint32_t bits() const { return bits_; }
+
+ private:
+  void positions(std::uint64_t key, std::uint32_t* out) const {
+    const std::uint64_t h1 = mix64(key);
+    const std::uint64_t h2 = mix64(key ^ 0x9E3779B97F4A7C15ULL);
+    for (std::uint32_t i = 0; i < hashes_; ++i) {
+      out[i] = static_cast<std::uint32_t>(nth_hash(h1, h2, i) % bits_);
+    }
+  }
+
+  std::uint32_t bits_;
+  std::uint32_t hashes_;
+  std::size_t count_ = 0;
+  std::vector<std::uint64_t> words_;
+};
+
+Bytes encoded(const BloomFilter& f) {
+  Writer w;
+  f.encode(w);
+  return w.data();
+}
+
+/// The geometry KeySet::bloom chose, read back from its wire form (mode
+/// byte, then the filter's bit and hash counts).
+ReferenceBloom reference_for(const KeySet& s, const std::vector<std::uint64_t>& keys) {
+  Writer w;
+  s.encode(w);
+  Reader r(w.data());
+  EXPECT_EQ(r.u8(), 1);
+  const std::uint32_t bits = r.u32();
+  const std::uint32_t hashes = r.u32();
+  ReferenceBloom ref(bits, hashes);
+  for (std::uint64_t k : keys) ref.insert(k);
+  return ref;
+}
+
+std::vector<std::uint64_t> random_keys(Rng& rng, std::size_t n, std::uint64_t space) {
+  std::vector<std::uint64_t> keys(n);
+  for (auto& k : keys) k = rng.below(space);
+  return keys;
+}
+
+TEST(BloomEquivalence, RandomGeometriesMatchAllPositionsReference) {
+  Rng rng(1401);
+  std::size_t false_positives = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    // Bit counts 64..8192 (mostly not powers of two) and 1..16 hashes.
+    const auto bits = static_cast<std::uint32_t>(64 + rng.below(8192 - 64 + 1));
+    const auto hashes = static_cast<std::uint32_t>(1 + rng.below(16));
+    BloomFilter f(bits, hashes);
+    ReferenceBloom ref(bits, hashes);
+    const auto members = random_keys(rng, 1 + rng.below(bits / 4), 1ULL << 40);
+    for (std::uint64_t k : members) {
+      f.insert(k);
+      ref.insert(k);
+    }
+    ASSERT_EQ(encoded(f), ref.encoded()) << "insert moved a bit: bits=" << bits
+                                         << " hashes=" << hashes;
+    for (std::uint64_t k : members) {
+      ASSERT_TRUE(f.may_contain(k));
+      ASSERT_TRUE(f.may_contain(BloomFilter::hash(k)));
+    }
+    for (std::uint64_t k : random_keys(rng, 200, ~0ULL)) {
+      const bool want = ref.may_contain(k);
+      false_positives += want ? 1 : 0;
+      ASSERT_EQ(f.may_contain(k), want) << "key " << k << " bits=" << bits;
+      ASSERT_EQ(f.may_contain(BloomFilter::hash(k)), want) << "key " << k << " bits=" << bits;
+    }
+  }
+  // Dense filters (up to bits/4 members at up to 16 hashes) must produce
+  // false positives, or the probes above never exercised a full match.
+  EXPECT_GT(false_positives, 0u);
+}
+
+TEST(BloomEquivalence, KeySetIntersectsMatchesReferenceInAllModes) {
+  Rng rng(1402);
+  for (int trial = 0; trial < 400; ++trial) {
+    // fp rates 1e-9..0.5, log-uniform; set sizes straddle HashedKeys'
+    // inline capacity so the unhashed tail is exercised too.
+    const double fp = std::pow(10.0, -9.0 + 8.7 * static_cast<double>(rng.below(1001)) / 1000.0);
+    const std::uint64_t space = 1 + rng.below(512);
+    const auto ka = random_keys(rng, rng.below(40), space);
+    const auto kb = random_keys(rng, rng.below(40), space);
+    const KeySet ea = KeySet::exact(ka);
+    const KeySet eb = KeySet::exact(kb);
+    const KeySet ba = KeySet::bloom(ka, fp);
+    const KeySet bb = KeySet::bloom(kb, fp);
+    const ReferenceBloom ra = reference_for(ba, ka);
+    const ReferenceBloom rb = reference_for(bb, kb);
+
+    // Exact / exact: the true intersection.
+    const std::set<std::uint64_t> sa(ka.begin(), ka.end());
+    const bool exact_hit = std::any_of(kb.begin(), kb.end(), [&](auto k) { return sa.count(k); });
+    ASSERT_EQ(ea.intersects(eb), exact_hit);
+    // Mixed: every exact key probed against the reference filter.
+    const bool mixed_ab = !ka.empty() && std::any_of(kb.begin(), kb.end(), [&](auto k) {
+      return ra.may_contain(k);
+    });
+    const bool mixed_ba = !kb.empty() && std::any_of(ka.begin(), ka.end(), [&](auto k) {
+      return rb.may_contain(k);
+    });
+    ASSERT_EQ(ba.intersects(eb), mixed_ab);
+    ASSERT_EQ(eb.intersects(ba), mixed_ab);
+    ASSERT_EQ(bb.intersects(ea), mixed_ba);
+    ASSERT_EQ(ea.intersects(bb), mixed_ba);
+    // Bloom / bloom: same geometry compares bits, different is conservative.
+    const bool bloom_hit = !ka.empty() && !kb.empty() &&
+                           (ra.bits() != rb.bits() || ra.overlaps(rb));
+    ASSERT_EQ(ba.intersects(bb), bloom_hit);
+
+    // HashedKeys reproduces KeySet::intersects for every pairing.
+    for (const KeySet* probe : {&ea, &eb, &ba, &bb}) {
+      const HashedKeys hashed(*probe);
+      for (const KeySet* other : {&ea, &eb, &ba, &bb}) {
+        ASSERT_EQ(hashed.intersects(*other), probe->intersects(*other)) << "trial " << trial;
+      }
+    }
+  }
+}
+
+/// FNV-1a over the encoded bytes of a fixed family of filters, folded with
+/// each filter's verdicts on 256 non-member probes: pins the wire format
+/// and the false-positive set together.
+std::uint64_t bloom_wire_digest() {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  auto fold = [&h](std::uint8_t b) {
+    h ^= b;
+    h *= 0x100000001B3ULL;
+  };
+  Rng rng(20121);
+  for (std::size_t n : {1, 2, 4, 7, 16, 100, 1000}) {
+    for (double fp : {1e-9, 1e-5, 1e-2, 0.3, 0.5}) {
+      const KeySet s = KeySet::bloom(random_keys(rng, n, 1ULL << 32), fp);
+      Writer w;
+      s.encode(w);
+      for (std::uint8_t b : w.data()) fold(b);
+      for (std::uint64_t k : random_keys(rng, 256, 1ULL << 32)) {
+        fold(s.may_contain((1ULL << 32) + k) ? 1 : 0);
+      }
+    }
+  }
+  return h;
+}
+
+TEST(BloomEquivalence, WireBytesAndFalsePositivesMatchPinnedDigest) {
+  // Recorded with the all-positions probe (before early exit and hash
+  // reuse); any drift in bit placement, encoding or verdicts changes it.
+  EXPECT_EQ(bloom_wire_digest(), 0x10F3D111346F6483ULL);
 }
 
 TEST(KeySet, ExactIntersection) {

@@ -30,11 +30,12 @@ import rules_config
 import rules_determinism
 import rules_hotpath
 import rules_layering
+import rules_style
 import rules_symmetry
 
 ALL_RULES = (rules_determinism.RULES + rules_layering.RULES +
              rules_symmetry.RULES + rules_hotpath.RULES +
-             rules_config.RULES)
+             rules_config.RULES + rules_style.RULES)
 
 # The rule set the legacy linter shipped; the selftest pins these against
 # the legacy linter's recorded findings on the legacy_pin fixture tree.
@@ -77,7 +78,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.selftest:
         import selftest
-        return selftest.run(root)
+        return selftest.run(root, ALL_RULES)
 
     rule_filter = None
     if args.rules:

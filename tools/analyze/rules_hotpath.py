@@ -33,20 +33,25 @@ instrumented protocol step calls Tracer::record_*/append per delivered
 transaction, and the tracer's zero-allocation-at-steady-state contract
 (see src/trace/trace.h) dies if those bodies allocate or throw — there
 `record*`, `emit*` and `append*` bodies are checked as well. Scope: the
-protocol dirs (src/{sim,sdur,paxos,storage,pdur,trace}) —
-workload/audit tooling may allocate freely.
+protocol dirs (src/{sim,sdur,paxos,storage,pdur,trace}) plus the bloom
+probe path in src/util/bloom.cpp, whose `may_contain*`, `intersects*`
+and `disjoint` bodies run once per (probe key, window record) pair of a
+bloom certification — workload/audit tooling may allocate freely.
 """
 
 from __future__ import annotations
 
 from cpplex import TOK_IDENT, Token
 from cppmodel import FunctionDef, skip_balanced, skip_template_args, _split_top_level
-from engine import Context, Finding, Rule
+from engine import LEGACY_DIRS, Context, Finding, Rule
 
 _CONTAINERS = {"vector", "deque", "string", "map", "set", "unordered_map",
                "unordered_set", "KeySet", "Bytes", "Value"}
 _ALLOC_CALLS = {"make_unique", "make_shared"}
 _CHAIN_OK = {".", "->", "::"}
+# Files outside the protocol dirs whose probe bodies are on the
+# certification path (see _is_hot).
+_PROBE_FILES = ("src/util/bloom.cpp",)
 
 
 def _is_hot(name: str, rel: str) -> bool:
@@ -58,6 +63,11 @@ def _is_hot(name: str, rel: str) -> bool:
         return False
     if name == "scan_after" or name.startswith("certify") or "conflict" in name:
         return True
+    # The bloom probe path (src/util/bloom.cpp): a bloom certification
+    # calls these once per (probe key, window record) pair — see DESIGN.md
+    # "Indexed certification". insert/encode/decode stay cold.
+    if rel in _PROBE_FILES:
+        return name.startswith(("may_contain", "intersects")) or name == "disjoint"
     # The vote delivery/flush path (src/sdur/): handle_vote* runs once per
     # received vote (unicast, batch entry, or piggybacked ride) and
     # flush_votes* once per batch window per destination partition — see
@@ -163,7 +173,9 @@ def _byvalue_params(fn: FunctionDef, rel: str):
 
 
 def run_hotpath_hygiene(ctx: Context):
-    for m in ctx.legacy_models():
+    for m in ctx.models:
+        if not m.rel.startswith(LEGACY_DIRS) and m.rel not in _PROBE_FILES:
+            continue
         for fn in m.functions:
             if not _is_hot(fn.name, m.rel):
                 continue
@@ -195,8 +207,9 @@ RULES = [
          "no new/make_unique/make_shared in certify/conflicts_*/scan_after "
          "bodies, src/sdur/ handle_vote*/flush_votes* vote-exchange, "
          "*bypass*/park*/unpark* out-of-order-commit and speculate*/"
-         "finalize*/rollback* speculation bodies (also src/storage/), or "
-         "src/trace/ record*/emit*/append* span-emit bodies",
+         "finalize*/rollback* speculation bodies (also src/storage/), "
+         "src/trace/ record*/emit*/append* span-emit bodies, or "
+         "src/util/bloom.cpp may_contain*/intersects*/disjoint probe bodies",
          lambda ctx: (f for f in run_hotpath_hygiene(ctx) if f.rule == "hotpath-alloc"),
          suggestion="preallocate outside the certification path (arena/ring "
                     "patterns, see storage/commit_window.h)"),
@@ -208,8 +221,8 @@ RULES = [
          suggestion="take const&, or reuse a scratch buffer owned by the caller"),
     Rule("hotpath-throw",
          "no throwing constructs in audit-off protocol hot paths "
-         "(certification, vote exchange, out-of-order commit, speculation, "
-         "and trace span-emit)",
+         "(certification and its bloom probes, vote exchange, out-of-order "
+         "commit, speculation, and trace span-emit)",
          lambda ctx: (f for f in run_hotpath_hygiene(ctx) if f.rule == "hotpath-throw"),
          suggestion="return a verdict, or guard the invariant with SDUR_AUDIT_CHECK "
                     "(compiled out in benchmark builds)"),

@@ -276,7 +276,8 @@ int main(int argc, char** argv) {
               r.servers.committed_local + r.servers.committed_global == 0
                   ? 0.0
                   : static_cast<double>(r.net.bytes_sent) /
-                        static_cast<double>(r.servers.committed_local + r.servers.committed_global));
+                        static_cast<double>(r.servers.committed_local +
+                                            r.servers.committed_global));
 
   if (r.servers.bypassed_locals + r.servers.parked_locals > 0) {
     std::printf("ooo-bypass: bypassed=%llu parked=%llu\n",
