@@ -24,16 +24,16 @@ void Client::begin_read_only(ReadyCallback ready) {
   begin();
   read_only_ = true;
   const std::uint64_t reqid = next_reqid_++;
-  pending_snapshots_[reqid] = std::move(ready);
   send(cfg_.snapshot_server, SnapshotReqMsg{reqid}.to_message());
-  schedule_snapshot_retry(reqid);
+  pending_snapshots_[reqid] = PendingSnapshot{std::move(ready), schedule_snapshot_retry(reqid)};
 }
 
-void Client::schedule_snapshot_retry(std::uint64_t reqid) {
-  set_timer(cfg_.read_retry_interval, [this, reqid] {
-    if (!pending_snapshots_.contains(reqid)) return;
+sim::TimerId Client::schedule_snapshot_retry(std::uint64_t reqid) {
+  return set_timer(cfg_.read_retry_interval, [this, reqid] {
+    auto it = pending_snapshots_.find(reqid);
+    if (it == pending_snapshots_.end()) return;
     send(cfg_.snapshot_server, SnapshotReqMsg{reqid}.to_message());
-    schedule_snapshot_retry(reqid);
+    it->second.retry = schedule_snapshot_retry(reqid);
   });
 }
 
@@ -55,20 +55,20 @@ void Client::read(Key k, ReadCallback cb) {
   const std::uint64_t reqid = next_reqid_++;
   const sim::ProcessId target = read_target(p);
   const Version snapshot = tx_.snapshot_of(p);
-  pending_reads_[reqid] = PendingRead{std::move(cb), target, k, snapshot};
   send(target, ReadReqMsg{reqid, k, snapshot}.to_message());
-  schedule_read_retry(reqid);
+  pending_reads_[reqid] =
+      PendingRead{std::move(cb), target, k, snapshot, schedule_read_retry(reqid)};
 }
 
-void Client::schedule_read_retry(std::uint64_t reqid) {
+sim::TimerId Client::schedule_read_retry(std::uint64_t reqid) {
   // Reads are idempotent; retries cover lost requests or responses. Note
   // the retried request carries the original snapshot, so the answer is
   // the same value either way.
-  set_timer(cfg_.read_retry_interval, [this, reqid] {
+  return set_timer(cfg_.read_retry_interval, [this, reqid] {
     auto it = pending_reads_.find(reqid);
     if (it == pending_reads_.end()) return;
     send(it->second.target, ReadReqMsg{reqid, it->second.key, it->second.snapshot}.to_message());
-    schedule_read_retry(reqid);
+    it->second.retry = schedule_read_retry(reqid);
   });
 }
 
@@ -135,24 +135,31 @@ void Client::commit(CommitCallback cb) {
   const TxId txid = tx_.id;
   // Retry loop: requests and outcomes can be lost; the contact remembers
   // outcomes, so retries are idempotent.
-  schedule_commit_retry(contact, txid, cfg_.commit_retry_interval);
-  set_timer(cfg_.commit_timeout, [this, txid] {
+  commit_retry_ = schedule_commit_retry(contact, txid, cfg_.commit_retry_interval);
+  commit_timeout_ = set_timer(cfg_.commit_timeout, [this, txid] {
     if (pending_commit_ && pending_commit_txid_ == txid) {
       ++stats_.timeouts;
-      auto cb2 = std::move(pending_commit_);
-      pending_commit_ = nullptr;
-      cb2(Outcome::kUnknown);
+      finish_commit(Outcome::kUnknown);
     }
   });
 }
 
-void Client::schedule_commit_retry(sim::ProcessId contact, TxId txid, sim::Time delay) {
-  set_timer(delay, [this, contact, txid, delay] {
+sim::TimerId Client::schedule_commit_retry(sim::ProcessId contact, TxId txid,
+                                           sim::Time delay) {
+  return set_timer(delay, [this, contact, txid, delay] {
     if (!pending_commit_ || pending_commit_txid_ != txid) return;
     ++stats_.commit_retries;
     send(contact, CommitReqMsg{tx_}.to_message());
-    schedule_commit_retry(contact, txid, delay);
+    commit_retry_ = schedule_commit_retry(contact, txid, delay);
   });
+}
+
+void Client::finish_commit(Outcome outcome) {
+  cancel_timer(commit_retry_);
+  cancel_timer(commit_timeout_);
+  auto cb = std::move(pending_commit_);
+  pending_commit_ = nullptr;
+  cb(outcome);
 }
 
 void Client::on_message(const sim::Message& m, sim::ProcessId from) {
@@ -163,6 +170,7 @@ void Client::on_message(const sim::Message& m, sim::ProcessId from) {
       const auto resp = ReadRespMsg::decode(r);
       auto it = pending_reads_.find(resp.reqid);
       if (it == pending_reads_.end()) return;
+      cancel_timer(it->second.retry);
       auto cb = std::move(it->second.cb);
       pending_reads_.erase(it);
       if (!read_only_) {
@@ -177,7 +185,8 @@ void Client::on_message(const sim::Message& m, sim::ProcessId from) {
       const auto resp = SnapshotRespMsg::decode(r);
       auto it = pending_snapshots_.find(resp.reqid);
       if (it == pending_snapshots_.end()) return;
-      auto ready = std::move(it->second);
+      cancel_timer(it->second.retry);
+      auto ready = std::move(it->second.ready);
       pending_snapshots_.erase(it);
       for (PartitionId p = 0; p < resp.snapshot.size(); ++p) {
         tx_.set_snapshot(p, resp.snapshot[p]);
@@ -190,9 +199,7 @@ void Client::on_message(const sim::Message& m, sim::ProcessId from) {
       if (!pending_commit_ || out.id != pending_commit_txid_) return;
       SDUR_TRACE_MARK(trace_track_, trace::Point::kTxOutcome, out.id, now(),
                       static_cast<std::uint64_t>(out.outcome));
-      auto cb = std::move(pending_commit_);
-      pending_commit_ = nullptr;
-      cb(out.outcome);
+      finish_commit(out.outcome);
       break;
     }
     default:

@@ -98,7 +98,10 @@ class Client : public sim::Process {
 
  private:
   sim::ProcessId read_target(PartitionId p) const;
-  void schedule_commit_retry(sim::ProcessId contact, TxId txid, sim::Time delay);
+  sim::TimerId schedule_commit_retry(sim::ProcessId contact, TxId txid, sim::Time delay);
+  /// Delivers the pending commit's outcome and cancels its retry and
+  /// timeout timers.
+  void finish_commit(Outcome outcome);
 
   ClientConfig cfg_;
   Transaction tx_;
@@ -106,18 +109,28 @@ class Client : public sim::Process {
   std::uint64_t next_seq_ = 1;
   std::uint64_t next_reqid_ = 1;
 
+  // Each pending request keeps the id of its armed retry (or timeout)
+  // timer, re-stored on every re-arm, so the reply cancels it instead of
+  // leaving a dead event queued until it fires.
   struct PendingRead {
     ReadCallback cb;
     sim::ProcessId target;
     Key key;
     Version snapshot;
+    sim::TimerId retry;
+  };
+  struct PendingSnapshot {
+    ReadyCallback ready;
+    sim::TimerId retry;
   };
   std::unordered_map<std::uint64_t, PendingRead> pending_reads_;
-  std::unordered_map<std::uint64_t, ReadyCallback> pending_snapshots_;
-  void schedule_read_retry(std::uint64_t reqid);
-  void schedule_snapshot_retry(std::uint64_t reqid);
+  std::unordered_map<std::uint64_t, PendingSnapshot> pending_snapshots_;
+  sim::TimerId schedule_read_retry(std::uint64_t reqid);
+  sim::TimerId schedule_snapshot_retry(std::uint64_t reqid);
   CommitCallback pending_commit_;
   TxId pending_commit_txid_ = 0;
+  sim::TimerId commit_retry_;
+  sim::TimerId commit_timeout_;
 
   std::uint32_t trace_track_ = trace::kNoTrack;
   Stats stats_;

@@ -29,6 +29,12 @@ struct FabricCounters {
   /// Event-loop callables that exceeded the inline buffer (one heap
   /// allocation each).
   std::uint64_t fn_heap_allocs = 0;
+  /// Events cancelled before they fired (Simulator::cancel).
+  std::uint64_t events_cancelled = 0;
+  /// Live queued events summed over every event run, and their maximum;
+  /// the sum over the run's event count is the mean live heap depth.
+  std::uint64_t heap_depth_sum = 0;
+  std::uint64_t heap_depth_peak = 0;
 
   void reset() { *this = FabricCounters{}; }
 };

@@ -34,13 +34,13 @@ void Process::send(ProcessId to, Message m) {
   net_.send(id_, to, std::move(m));
 }
 
-void Process::set_timer(Time delay, UniqueFn fn) {
-  if (crashed_) return;
+TimerId Process::set_timer(Time delay, UniqueFn fn) {
+  if (crashed_) return TimerId{};
   // Epoch guard without a wrapper closure: crash() and recover() both bump
   // epoch_, so anything scheduled before either is skipped at fire time.
   // (Nothing schedules while crashed — every entry point returns early —
   // so the epoch check alone is the complete crash-stop guard.)
-  net_.simulator().schedule_after(delay, std::move(fn), &epoch_, epoch_);
+  return net_.simulator().schedule_after(delay, std::move(fn), &epoch_, epoch_);
 }
 
 void Process::set_core_count(std::size_t cores) {

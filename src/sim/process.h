@@ -56,8 +56,13 @@ class Process : public Endpoint {
 
   /// One-shot timer. The callback is skipped if the process has crashed or
   /// recovered (epoch change) by the time it fires. Timers model protocol
-  /// timeouts and do not consume CPU.
-  void set_timer(Time delay, UniqueFn fn);
+  /// timeouts and do not consume CPU. Returns an id for cancel_timer()
+  /// (a default id while crashed: nothing was scheduled).
+  TimerId set_timer(Time delay, UniqueFn fn);
+
+  /// Cancels a timer that has not fired yet; a fired or cancelled one is
+  /// left alone.
+  void cancel_timer(TimerId id) { net_.simulator().cancel(id); }
 
   /// Queues `fn` on this process's serial CPU (core 0) with the given
   /// cost. `fn` runs when the CPU has finished all previously queued work

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "sdur/deployment.h"
+#include "util/rng.h"
 
 namespace sdur {
 namespace {
@@ -176,6 +177,115 @@ TEST(Client, StatsCountReadsAndCommits) {
   EXPECT_EQ(f.client->stats().reads, 2u);
   EXPECT_EQ(f.client->stats().commits_requested, 1u);
   EXPECT_EQ(f.client->stats().timeouts, 0u);
+}
+
+/// Closed loop of `clients` clients, each running transactions back to
+/// back: three update transactions over two random keys (often on two
+/// partitions), then one read-only transaction. Every answered read,
+/// snapshot request and commit leaves its retry or timeout timer behind
+/// unless the client cancels it.
+struct ClosedLoop {
+  std::unique_ptr<Deployment> dep;
+  std::vector<Client*> clients;
+  util::Rng rng{17};
+  std::uint64_t finished = 0;
+  std::uint64_t committed = 0;
+  bool draining = false;  // no new transactions once set
+  std::size_t idle_events = 0;  // queued before any client started
+
+  explicit ClosedLoop(std::uint32_t n) {
+    DeploymentSpec spec;
+    spec.partitions = 3;
+    spec.partitioning = std::make_shared<RangePartitioning>(3, 100);
+    spec.log_write_latency = sim::usec(200);
+    dep = std::make_unique<Deployment>(spec);
+    for (Key k = 0; k < 300; ++k) dep->load(k, "v");
+    dep->start();
+    for (std::uint32_t i = 0; i < n; ++i) clients.push_back(&dep->add_client(i % 3));
+    dep->run_until(sim::msec(300));
+    idle_events = dep->simulator().pending_events();
+    for (Client* c : clients) next(*c);
+  }
+
+  void next(Client& c) {
+    if (draining) return;
+    const std::vector<Key> keys{rng.below(300), rng.below(300)};
+    auto done = [this, &c](Outcome o) {
+      ++finished;
+      if (o == Outcome::kCommit) ++committed;
+      next(c);
+    };
+    if (finished % 4 == 3) {
+      c.begin_read_only([&c, keys, done] {
+        c.read_many(keys, [&c, done](auto) { c.commit(done); });
+      });
+      return;
+    }
+    c.begin();
+    c.read_many(keys, [&c, keys, done](auto) {
+      for (Key k : keys) c.write(k, "w");
+      c.commit(done);
+    });
+  }
+
+  /// Runs until `target` transactions finished (or a minute of simulated
+  /// time passed, so a stalled loop fails instead of hanging).
+  void run_until_finished(std::uint64_t target) {
+    const sim::Time limit = dep->simulator().now() + sim::sec(60);
+    while (finished < target && dep->simulator().now() < limit) {
+      dep->run_until(dep->simulator().now() + sim::msec(10));
+    }
+    EXPECT_GE(finished, target);
+  }
+
+  bool replicas_agree() {
+    for (PartitionId p = 0; p < dep->partition_count(); ++p) {
+      util::Writer base;
+      dep->server(p, 0).store().encode(base);
+      for (std::uint32_t rep = 1; rep < dep->replica_count(); ++rep) {
+        util::Writer w;
+        dep->server(p, rep).store().encode(w);
+        if (w.data() != base.data()) return false;
+      }
+    }
+    return true;
+  }
+};
+
+TEST(Client, EventQueueHoldsOnlyLiveTimers) {
+  // Per client: at most two outstanding reads (each with a retry timer
+  // and a message in flight) or a commit (retry and timeout timers), plus
+  // the server work, Paxos traffic and votes that one transaction in
+  // flight causes. The bound depends on the client count only; before
+  // answered timers were cancelled, every commit left its 120 s timeout
+  // queued and the queue grew with the number of transactions run.
+  constexpr std::uint32_t kClients = 8;
+  constexpr std::uint64_t kTxns = 150;
+  ClosedLoop loop(kClients);
+  const std::size_t bound = loop.idle_events + 20 * kClients;
+  loop.run_until_finished(kTxns);
+  const std::size_t after_n = loop.dep->simulator().pending_events();
+  loop.run_until_finished(4 * kTxns);
+  const std::size_t after_4n = loop.dep->simulator().pending_events();
+  EXPECT_GT(loop.committed, kTxns) << "the loop made real progress";
+  EXPECT_LE(after_n, bound);
+  EXPECT_LE(after_4n, bound);
+  std::uint64_t retries = 0;
+  for (Client* c : loop.clients) retries += c->stats().commit_retries + c->stats().timeouts;
+  EXPECT_EQ(retries, 0u) << "a loss-free run needs no retry";
+}
+
+TEST(Client, RetriesStillFireUnderMessageLoss) {
+  ClosedLoop loop(8);
+  loop.dep->network().set_loss_rate(0.05);
+  loop.run_until_finished(400);
+  std::uint64_t retries = 0;
+  for (Client* c : loop.clients) retries += c->stats().commit_retries;
+  EXPECT_GT(retries, 0u) << "lost commit requests or outcomes were re-sent";
+  loop.dep->network().set_loss_rate(0);
+  loop.draining = true;
+  loop.dep->run_until(loop.dep->simulator().now() + sim::sec(10));
+  EXPECT_TRUE(loop.replicas_agree()) << "replicas converged after the loss stopped";
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 // model, crash semantics, topology latencies and network fault injection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+
 #include "sim/process.h"
 #include "sim/simulator.h"
 
@@ -75,6 +78,142 @@ TEST(Simulator, EventBudgetThrows) {
   std::function<void()> loop = [&] { sim.schedule_after(1, loop); };
   sim.schedule_at(0, loop);
   EXPECT_THROW(sim.run(), std::runtime_error);
+}
+
+TEST(Simulator, CancelBeforeFireSkipsEventAndFreesClosure) {
+  Simulator sim;
+  auto token = std::make_shared<int>(0);
+  int fired = 0;
+  sim.schedule_at(10, [&] { ++fired; });
+  const TimerId id = sim.schedule_at(20, [&fired, token] { fired += 100; });
+  EXPECT_EQ(token.use_count(), 2);
+  sim.cancel(id);
+  EXPECT_EQ(token.use_count(), 1) << "cancel destroys the closure at once";
+  sim.run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sim.now(), 10) << "a cancelled event never moves the clock";
+  EXPECT_EQ(sim.events_processed(), 1u);
+}
+
+TEST(Simulator, CancelAfterFireIsNoOp) {
+  Simulator sim;
+  int fired = 0;
+  const TimerId id = sim.schedule_at(10, [&] { ++fired; });
+  sim.run();
+  sim.cancel(id);
+  sim.cancel(id);
+  sim.cancel(TimerId{});
+  sim.schedule_at(20, [&] { ++fired; });
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.run();
+  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(sim.events_processed(), 2u);
+}
+
+TEST(Simulator, StaleIdAfterSlotReuseIsNoOp) {
+  Simulator sim;
+  int fired = 0;
+  const TimerId old_id = sim.schedule_at(10, [&] { ++fired; });
+  sim.run();
+  const TimerId new_id = sim.schedule_at(20, [&] { fired += 10; });
+  ASSERT_EQ(new_id.slot, old_id.slot) << "the freed slot is recycled";
+  sim.cancel(old_id);
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.run();
+  EXPECT_EQ(fired, 11) << "the stale id must not cancel the slot's new event";
+
+  // The same holds for an id whose event was cancelled, not fired.
+  const TimerId cancelled = sim.schedule_at(30, [&] { fired += 100; });
+  sim.cancel(cancelled);
+  sim.run();  // pops the cancelled node, freeing its slot
+  const TimerId reused = sim.schedule_at(40, [&] { fired += 1000; });
+  ASSERT_EQ(reused.slot, cancelled.slot);
+  sim.cancel(cancelled);
+  sim.run();
+  EXPECT_EQ(fired, 1011);
+}
+
+TEST(Simulator, CancelsAcrossCompactionKeepTimeAndTieOrder) {
+  // Many events on few distinct times (lots of ties). A third is
+  // cancelled up front, below the compaction threshold; handlers cancel
+  // more as the run goes, which compacts the heap twice mid-run. Live
+  // events must pop in exactly (time, schedule order), as if nothing had
+  // been cancelled.
+  Simulator sim;
+  constexpr int kEvents = 600;
+  std::vector<TimerId> ids(kEvents);
+  std::vector<bool> cancelled(kEvents, false);
+  std::vector<bool> ran(kEvents, false);
+  std::vector<int> order;
+  auto time_of = [](int i) { return static_cast<Time>((i * 7) % 13); };
+  for (int i = 0; i < kEvents; ++i) {
+    ids[static_cast<std::size_t>(i)] = sim.schedule_at(time_of(i), [&, i] {
+      order.push_back(i);
+      ran[static_cast<std::size_t>(i)] = true;
+      // Each live event cancels up to two others that are still queued.
+      for (const int v : {(i * 7 + 3) % kEvents, (i * 11 + 1) % kEvents}) {
+        const auto victim = static_cast<std::size_t>(v);
+        if (!ran[victim] && !cancelled[victim]) {
+          cancelled[victim] = true;
+          sim.cancel(ids[victim]);
+        }
+      }
+    });
+  }
+  for (int i = 0; i < kEvents; i += 3) {
+    cancelled[static_cast<std::size_t>(i)] = true;
+    sim.cancel(ids[static_cast<std::size_t>(i)]);
+  }
+  std::size_t live_before = 0;
+  for (bool c : cancelled) live_before += c ? 0 : 1;
+  EXPECT_EQ(sim.pending_events(), live_before);
+  sim.run();
+
+  std::vector<int> expected;
+  for (int i = 0; i < kEvents; ++i) {
+    if (!cancelled[static_cast<std::size_t>(i)]) expected.push_back(i);
+  }
+  std::stable_sort(expected.begin(), expected.end(),
+                   [&](int a, int b) { return time_of(a) < time_of(b); });
+  EXPECT_EQ(order, expected);
+  EXPECT_EQ(sim.events_processed(), expected.size());
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+TEST(Simulator, RunUntilSkipsCancelledHead) {
+  Simulator sim;
+  int fired = 0;
+  // Two live events keep the cancelled head below the compaction
+  // threshold, so run_until itself must drop it.
+  const TimerId head = sim.schedule_at(10, [&] { ++fired; });
+  sim.schedule_at(200, [&] { ++fired; });
+  sim.schedule_at(300, [&] { ++fired; });
+  sim.cancel(head);
+  sim.run_until(100);
+  EXPECT_EQ(fired, 0) << "nothing past the deadline runs";
+  EXPECT_EQ(sim.now(), 100);
+  EXPECT_EQ(sim.events_processed(), 0u);
+  EXPECT_EQ(sim.pending_events(), 2u);
+  EXPECT_TRUE(sim.step());
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sim.now(), 200);
+}
+
+TEST(Simulator, PendingAndProcessedExcludeCancelled) {
+  Simulator sim;
+  std::vector<TimerId> ids;
+  for (int i = 0; i < 4; ++i) ids.push_back(sim.schedule_at(10 + i, [] {}));
+  EXPECT_EQ(sim.pending_events(), 4u);
+  sim.cancel(ids[1]);
+  sim.cancel(ids[1]);  // a second cancel of the same id changes nothing
+  EXPECT_EQ(sim.pending_events(), 3u);
+  sim.cancel(ids[3]);
+  EXPECT_EQ(sim.pending_events(), 2u);
+  sim.run();
+  EXPECT_EQ(sim.events_processed(), 2u);
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_EQ(sim.now(), 12);
+  EXPECT_FALSE(sim.step());
 }
 
 TEST(Topology, RegionDelays) {
@@ -275,6 +414,22 @@ TEST(Process, PreCrashTimersStayDeadAfterRecover) {
   f.sim.schedule_at(msec(2), [&] { a.recover(); });
   f.sim.run();
   EXPECT_EQ(fired, 0) << "epoch bump must cancel pre-crash timers";
+}
+
+TEST(Process, CancelledTimerNeverFires) {
+  NetFixture f;
+  Sink a(*f.net, 1, {kEU, 0});
+  int fired = 0;
+  const TimerId kept = a.set_timer(msec(10), [&] { ++fired; });
+  const TimerId dropped = a.set_timer(msec(10), [&] { fired += 10; });
+  a.cancel_timer(dropped);
+  f.sim.run();
+  EXPECT_EQ(fired, 1);
+  a.cancel_timer(kept);  // already fired: no-op
+  a.crash();
+  a.cancel_timer(a.set_timer(msec(1), [&] { fired += 100; }));  // nothing scheduled
+  f.sim.run();
+  EXPECT_EQ(fired, 1);
 }
 
 TEST(Process, MessagesAfterRecoverAreDelivered) {
