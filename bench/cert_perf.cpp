@@ -14,9 +14,13 @@
 // local / global. Probe transactions use snapshot = window base - 1 (the
 // worst case: the scan walks the entire window) and keys disjoint from
 // the record keys (no early exit; index probes miss). Bloom rows keep the
-// protocol's shape — record AND probe readsets bloom-encoded — which
-// forces the documented fallback: reads still scan, but global
-// write-vs-reader checks walk only the bloom suffix.
+// protocol's shape — record AND probe readsets bloom-encoded at the
+// protocol's default false-positive rate (TechniqueConfig::bloom_fp_rate,
+// the all-on preset's rate) — which forces the documented fallback: reads
+// still scan, but global write-vs-reader checks walk only the bloom
+// suffix. At a looser rate a false positive between two bloom readsets
+// would end the "no early exit" scan a few dozen records in, and the rows
+// would stop measuring window depth.
 //
 // Rows go to BENCH_cert_perf.json. `--smoke` (CTest: cert_perf_smoke)
 // shrinks the sweep and cross-validates every probe's verdict between the
@@ -36,6 +40,13 @@ using storage::CommitRecord;
 using storage::CommitWindow;
 using storage::Version;
 using Clock = std::chrono::steady_clock;
+
+/// Bloom readsets are encoded at the protocol's default rate.
+const double kBloomFpRate = TechniqueConfig{}.bloom_fp_rate;
+
+util::KeySet encode_readset(const std::vector<std::uint64_t>& keys, bool bloom) {
+  return bloom ? util::KeySet::bloom(keys, kBloomFpRate) : util::KeySet::exact(keys);
+}
 
 struct Probe {
   util::KeySet rs;
@@ -60,7 +71,7 @@ void fill_window(CommitWindow& w, std::size_t depth, std::size_t set_size, bool 
     CommitRecord rec;
     rec.txid = i + 1;
     const auto rk = draw_keys(rng, set_size, 0, kRecordSpace);
-    rec.readset = bloom ? util::KeySet::bloom(rk) : util::KeySet::exact(rk);
+    rec.readset = encode_readset(rk, bloom);
     rec.writeset = util::KeySet::exact(draw_keys(rng, set_size, 0, kRecordSpace));
     w.push(static_cast<Version>(i + 1), std::move(rec));
   }
@@ -74,7 +85,7 @@ std::vector<Probe> make_probes(std::size_t n, std::size_t set_size, bool bloom,
   std::vector<Probe> out(n);
   for (Probe& p : out) {
     const auto rk = draw_keys(rng, set_size, kProbeBase, 1u << 20);
-    p.rs = bloom ? util::KeySet::bloom(rk) : util::KeySet::exact(rk);
+    p.rs = encode_readset(rk, bloom);
     p.ws = util::KeySet::exact(draw_keys(rng, set_size, kProbeBase, 1u << 20));
   }
   return out;
@@ -118,7 +129,7 @@ int run_point(const SweepPoint& s, bool smoke) {
   for (int i = 0; i < (smoke ? 400 : 50); ++i) {
     const auto rk = draw_keys(vrng, s.set_size, 0, 1u << 20);
     Probe p;
-    p.rs = s.bloom ? util::KeySet::bloom(rk) : util::KeySet::exact(rk);
+    p.rs = encode_readset(rk, s.bloom);
     p.ws = util::KeySet::exact(draw_keys(vrng, s.set_size, 0, 1u << 20));
     std::uniform_int_distribution<Version> st_dist(w.oldest() - 1, w.newest());
     const Version vst = st_dist(vrng);

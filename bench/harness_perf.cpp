@@ -3,9 +3,10 @@
 // Unlike the figure benches (which report *simulated* throughput/latency),
 // this harness measures how fast the host machine chews through the
 // simulation itself: events/sec and messages/sec of real time, plus the
-// fabric's host-side copy counters (sim/fabric_stats.h). It is the yard-
-// stick for fabric optimizations — every run of every other experiment in
-// this repo is bounded by these numbers.
+// fabric's host-side counters (sim/fabric_stats.h): payload copies,
+// callable allocations, cancelled events and live event-heap depth. It is
+// the yardstick for fabric optimizations — every run of every other
+// experiment in this repo is bounded by these numbers.
 //
 // Two sections:
 //   fabric_storm  A broadcast storm on bare sim::Process actors: one hub
@@ -51,15 +52,20 @@ struct FabricMetrics {
 void report_metrics(const FabricMetrics& m) {
   const double events_per_sec = static_cast<double>(m.events) / m.wall_sec;
   const double msgs_per_sec = static_cast<double>(m.messages_sent) / m.wall_sec;
+  // Live events queued when each event ran (cancelled ones excluded).
+  const double heap_depth_mean =
+      static_cast<double>(m.counters.heap_depth_sum) / static_cast<double>(m.events);
   std::printf(
       "  %-12s wall=%6.2fs  events=%10" PRIu64 " (%10.0f/s)  msgs=%9" PRIu64
       " (%9.0f/s)\n"
       "  %-12s payload deep-copies=%" PRIu64 " (%.1f MB)  shares=%" PRIu64
-      "  fn inline=%" PRIu64 "  fn heap=%" PRIu64 "\n",
+      "  fn inline=%" PRIu64 "  fn heap=%" PRIu64 "\n"
+      "  %-12s live heap depth mean=%.0f peak=%" PRIu64 "  cancelled events=%" PRIu64 "\n",
       m.section, m.wall_sec, m.events, events_per_sec, m.messages_sent, msgs_per_sec, "",
       m.counters.payload_deep_copies,
       static_cast<double>(m.counters.payload_bytes_copied) / 1e6, m.counters.payload_shares,
-      m.counters.fn_inline, m.counters.fn_heap_allocs);
+      m.counters.fn_inline, m.counters.fn_heap_allocs, "", heap_depth_mean,
+      m.counters.heap_depth_peak, m.counters.events_cancelled);
   if (auto* rep = report()) {
     rep->row()
         .str("section", m.section)
@@ -73,7 +79,10 @@ void report_metrics(const FabricMetrics& m) {
         .num("payload_bytes_copied", static_cast<double>(m.counters.payload_bytes_copied))
         .num("payload_shares", static_cast<double>(m.counters.payload_shares))
         .num("fn_inline", static_cast<double>(m.counters.fn_inline))
-        .num("fn_heap_allocs", static_cast<double>(m.counters.fn_heap_allocs));
+        .num("fn_heap_allocs", static_cast<double>(m.counters.fn_heap_allocs))
+        .num("heap_depth_mean", heap_depth_mean)
+        .num("heap_depth_peak", static_cast<double>(m.counters.heap_depth_peak))
+        .num("events_cancelled", static_cast<double>(m.counters.events_cancelled));
   }
 }
 
