@@ -292,19 +292,22 @@ namespace {
 /// legacy scan in place (and assert the auditor stayed clean), so these
 /// constants are — by construction — exactly what the scan engine
 /// produces. A change here means a verdict moved somewhere.
-std::uint64_t run_digest(bool bloom, std::uint32_t cores) {
+struct GoldenOut {
+  std::uint64_t digest = 0;
+  Server::Stats stats;
+};
+
+GoldenOut run_golden(const TechniqueConfig& techniques, std::uint32_t cores,
+                     sim::Time checkpoint_interval = 0, double loss_rate = 0) {
   DeploymentSpec spec;
   spec.partitions = 2;
   spec.partitioning = MicroWorkload::make_partitioning(2, 80);
-  spec.server.techniques.reorder_threshold = 24;
-  spec.server.techniques.bloom_readsets = bloom;
-  // High fp rate so bloom false positives actually fire at this scale —
-  // the run must diverge from the exact run through the bloom fallback
-  // paths, not coincide with it.
-  if (bloom) spec.server.techniques.bloom_fp_rate = 0.02;
+  spec.server.techniques = techniques;
+  spec.server.checkpoint_interval = checkpoint_interval;
   spec.server.pdur.cores = cores;
   spec.seed = 47;
   Deployment dep(spec);
+  dep.network().set_loss_rate(loss_rate);
 
   RunConfig cfg;
   cfg.clients = 12;
@@ -332,7 +335,24 @@ std::uint64_t run_digest(bool bloom, std::uint32_t cores) {
     }
   }
   const util::Bytes& b = w.data();
-  return util::fnv1a(std::string_view(reinterpret_cast<const char*>(b.data()), b.size()));
+  return {util::fnv1a(std::string_view(reinterpret_cast<const char*>(b.data()), b.size())),
+          dep.total_stats()};
+}
+
+/// Reordering at threshold 24; `bloom` adds bloom readsets at a high fp
+/// rate, so false positives actually fire at this scale — the run must
+/// diverge from the exact run through the bloom fallback paths, not
+/// coincide with it.
+TechniqueConfig reorder24(bool bloom) {
+  TechniqueConfig t;
+  t.reorder_threshold = 24;
+  t.bloom_readsets = bloom;
+  if (bloom) t.bloom_fp_rate = 0.02;
+  return t;
+}
+
+std::uint64_t run_digest(bool bloom, std::uint32_t cores) {
+  return run_golden(reorder24(bloom), cores).digest;
 }
 
 TEST(CertIndexGolden, EndToEndResultsUnchanged) {
@@ -346,6 +366,31 @@ TEST(CertIndexGolden, EndToEndResultsUnchanged) {
       << "bloom/serial digest changed: 0x" << std::hex << bloom_serial;
   EXPECT_EQ(exact_pdur4, 0xd049541a2625b7beULL)
       << "exact/pdur4 digest changed: 0x" << std::hex << exact_pdur4;
+  EXPECT_TRUE(audit::Auditor::instance().clean()) << audit::Auditor::instance().summary();
+}
+
+/// P-DUR at 4 cores with every technique on: bloom readsets (high fp
+/// rate) home transactions on all cores, and speculation, batching and the
+/// bypass gate all run over the multi-core certifier.
+TEST(CertIndexGolden, PdurAllOnResultsUnchanged) {
+  TechniqueConfig t = *TechniqueConfig::preset("all-on");
+  t.bloom_fp_rate = 0.02;
+  const GoldenOut r = run_golden(t, 4);
+  EXPECT_EQ(r.digest, 0x0640e9ea8752c979ULL) << "all-on/pdur4 digest changed: 0x" << std::hex << r.digest;
+  EXPECT_TRUE(audit::Auditor::instance().clean()) << audit::Auditor::instance().summary();
+}
+
+/// P-DUR at 4 cores with the out-of-order bypass and a checkpoint every
+/// 200 ms. A local parks only when its snapshot covers a global still
+/// pending at the certifying replica; 1% message loss delays some
+/// replicas' votes long enough for that, so the pending-write gate really
+/// fires.
+TEST(CertIndexGolden, PdurBypassCheckpointResultsUnchanged) {
+  TechniqueConfig t = reorder24(false);
+  t.ooo_bypass = true;
+  const GoldenOut r = run_golden(t, 4, sim::msec(200), /*loss_rate=*/0.01);
+  EXPECT_GT(r.stats.parked_locals, 0u) << "the pending-write gate never fired";
+  EXPECT_EQ(r.digest, 0xc922b3c97074142dULL) << "bypass/pdur4 digest changed: 0x" << std::hex << r.digest;
   EXPECT_TRUE(audit::Auditor::instance().clean()) << audit::Auditor::instance().summary();
 }
 
