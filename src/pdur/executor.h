@@ -43,6 +43,12 @@ class Executor {
     });
   }
 
+  /// Home cores of a transaction with readset `rs` and write keys `ws`
+  /// (see CorePartitioner::home_cores).
+  std::vector<CoreId> home_cores(const util::KeySet& rs, const util::KeySet& ws) const {
+    return part_.home_cores(rs, ws);
+  }
+
   /// Schedules `work_cost` of certification/execution for a transaction
   /// homed on `cores`; `done` runs (epoch/crash-guarded) when every
   /// involved core has finished. Cross-core transactions additionally pay

@@ -1,6 +1,7 @@
 #include "sdur/certifier.h"
 
 #include <algorithm>
+#include <vector>
 
 #include "audit/audit.h"
 #include "trace/trace.h"
@@ -20,6 +21,7 @@ bool Certifier::scan_conflict(const PartTx& t, Version st) const {
   // times), so any status-dependence would break determinism. Treating a
   // later-aborted global as a conflict source is conservative (an
   // unnecessary abort, retried with a fresh snapshot), never wrong.
+  if (st >= cc_) return false;  // nothing serialized after the snapshot
   const Version from = std::max(st + 1, base_);
   for (Version v = from; v <= cc_; ++v) {
     const Slot& s = slots_[static_cast<std::size_t>(v - base_)];
@@ -83,29 +85,11 @@ Certifier::Result Certifier::process(const PartTx& t, std::uint64_t rt, std::uin
   // partition) serializes after everything certified so far; cc_ is
   // deterministic at a given delivery, unlike the stable prefix.
   const Version st = t.snapshot < 0 ? cc_ : t.snapshot;
-  if (st + 1 < base_) {
+  if (st < base_ - 1) {
     result.stale_snapshot = true;
     return result;  // abort: snapshot predates the certification window
   }
-  if (parallel()) {
-    result.cores = window_->partitioner().home_cores(t.readset, t.write_keys);
-    if (!test_skip_conflict_check_ &&
-        window_->conflicts(t.readset, t.write_keys, t.is_global(), result.cores, st)) {
-      // The per-core decomposition must reach the exact verdict of the
-      // serial scan — P-DUR's correctness argument (a key is homed on
-      // exactly one core, so the union of per-core intersections equals
-      // the full intersection).
-      SDUR_AUDIT_CHECK("pdur", "parallel-serial-equivalence", has_conflict(t, st),
-                       "parallel certifier aborts tx " << t.id << " (st=" << st
-                                                       << ") but serial scan finds no conflict");
-      return result;  // abort
-    }
-    if (!test_skip_conflict_check_) {
-      SDUR_AUDIT_CHECK("pdur", "parallel-serial-equivalence", !has_conflict(t, st),
-                       "parallel certifier commits tx " << t.id << " (st=" << st
-                                                        << ") but serial scan finds a conflict");
-    }
-  } else if (!test_skip_conflict_check_) {
+  if (!test_skip_conflict_check_) {
     // Which strategy serves this check mirrors indexed_conflict: a bloom
     // probe set (or, for globals, a bloom write-key set) forces the window
     // scan for that component; otherwise the key index answers. aux is the
@@ -159,7 +143,6 @@ Certifier::Result Certifier::process(const PartTx& t, std::uint64_t rt, std::uin
   result.version = ++cc_;
   slots_.push_back(Slot{t.id, t.is_global(), SlotStatus::kPending, t.readset, t.write_keys});
   index_.insert(result.version, t.readset, t.write_keys);
-  if (parallel()) window_->insert(result.version, t.readset, t.write_keys, result.cores);
   pl_.insert(pl_.begin() + static_cast<std::ptrdiff_t>(position),
              PendingEntry{t, rt, result.version, 0, 0, false, true});
   pending_ids_.insert(t.id);
@@ -168,7 +151,6 @@ Certifier::Result Certifier::process(const PartTx& t, std::uint64_t rt, std::uin
     // register the entry's write keys in the pending-write index.
     if (!t.is_global()) park_on_insert(position, t, result);
     pending_ws_.insert(result.version, util::KeySet(), t.write_keys);
-    if (parallel()) window_->pending_insert(result.version, t.write_keys);
   }
   // The window holds exactly one slot per assigned version in [base, cc]:
   // a gap would let a conflicting transaction escape certification.
@@ -222,24 +204,9 @@ Version Certifier::park_bound(std::size_t position, const PartTx& t) const {
 }
 
 void Certifier::park_on_insert(std::size_t position, const PartTx& t, Result& result) {
-  bool hit;
-  if (t.readset.is_bloom() && !t.readset.empty()) {
-    // A bloom probe readset cannot drive key probes; treat it as a hit and
-    // let the exact bound decide (mirrors the certification fallback).
-    hit = true;
-  } else if (parallel()) {
-    hit = window_->pending_writes_conflict(t.readset, t.write_keys, result.cores);
-    // The per-lane decomposition must reproduce the serial pending probe —
-    // a key is homed on exactly one core, so the union of lane hits equals
-    // the full-index hit.
-    SDUR_AUDIT_CHECK("pdur", "bypass-gate-equivalence",
-                     hit == pending_writes_conflict(t),
-                     "per-lane pending-write probe for tx "
-                         << t.id << " (" << (hit ? "hit" : "clear")
-                         << ") diverges from the serial pending-write index");
-  } else {
-    hit = pending_writes_conflict(t);
-  }
+  // A bloom probe readset cannot drive key probes; treat it as a hit and
+  // let the exact bound decide (mirrors the certification fallback).
+  const bool hit = (t.readset.is_bloom() && !t.readset.empty()) || pending_writes_conflict(t);
   // The trigger over-approximates the bound (it also hits on rs(t) vs
   // pending-local writes) but must cover it: a missed hit with a nonzero
   // bound would let a conflicting local bypass.
@@ -255,7 +222,6 @@ void Certifier::unpark_on_removal(const PendingEntry& e) {
   // Per-key eviction order stays ascending: the gate itself forbids a
   // newer pending writer of a key completing before an older one.
   pending_ws_.evict(e.version, util::KeySet(), e.tx.write_keys);
-  if (parallel()) window_->pending_evict(e.version, e.tx.write_keys);
   if (e.tx.is_global() && e.version > bypass_watermark_) bypass_watermark_ = e.version;
 }
 
@@ -282,7 +248,6 @@ void Certifier::park_rebuild() {
   // The watermark restarts at 0: completed globals left the list before
   // the checkpoint, so no restored local still waits on one.
   pending_ws_.clear();
-  if (parallel()) window_->pending_clear();
   bypass_watermark_ = 0;
   // The pending-write index wants version-ascending inserts; pl_ is in
   // delivery/reorder order (leaped locals sit ahead of smaller versions).
@@ -292,7 +257,6 @@ void Certifier::park_rebuild() {
             [this](std::size_t a, std::size_t b) { return pl_[a].version < pl_[b].version; });
   for (std::size_t i : by_version) {
     pending_ws_.insert(pl_[i].version, util::KeySet(), pl_[i].tx.write_keys);
-    if (parallel()) window_->pending_insert(pl_[i].version, pl_[i].tx.write_keys);
   }
   for (std::size_t i = 0; i < pl_.size(); ++i) {
     PendingEntry& e = pl_[i];
@@ -343,7 +307,6 @@ void Certifier::resolve(const PendingEntry& entry, bool committed) {
     slots_.pop_front();
     ++base_;
   }
-  if (parallel()) window_->evict_below(base_);
 }
 
 void Certifier::encode(util::Writer& w) const {
@@ -395,24 +358,18 @@ void Certifier::install(util::Reader& r) {
     pending_ids_.insert(e.tx.id);
     pl_.push_back(std::move(e));
   }
-  rebuild_window();
+  rebuild_index();
   if (ooo_bypass_) park_rebuild();
 }
 
-void Certifier::rebuild_window() {
-  // The checkpoint carries the full keysets per slot; the key index (and,
-  // in P-DUR mode, the per-core projections and home cores) are recomputed
-  // — a pure function of the keysets, so every replica rebuilds identical
-  // state.
+void Certifier::rebuild_index() {
+  // The checkpoint carries the full keysets per slot; the key index is
+  // recomputed — a pure function of the keysets, so every replica rebuilds
+  // identical state.
   index_.clear();
-  if (parallel()) window_->clear();
   for (Version v = base_; v <= cc_; ++v) {
     const Slot& s = slots_[static_cast<std::size_t>(v - base_)];
     index_.insert(v, s.readset, s.write_keys);
-    if (parallel()) {
-      window_->insert(v, s.readset, s.write_keys,
-                      window_->partitioner().home_cores(s.readset, s.write_keys));
-    }
   }
 }
 
@@ -426,7 +383,6 @@ void Certifier::reset() {
   index_.clear();
   pending_ws_.clear();
   bypass_watermark_ = 0;
-  if (parallel()) window_->clear();
 }
 
 }  // namespace sdur

@@ -34,23 +34,17 @@
 // acknowledged) earlier but keeps its delivery-ordered version; this is
 // sound because reordering requires their read/write sets to be disjoint
 // in both directions, i.e. the two transactions commute.
-// P-DUR (src/pdur/, arXiv:1312.0742): constructed with cores > 1, the
-// certifier runs the parallel decomposition of the conflict check — every
-// core keeps a window over its own sub-partition of the keys and votes on
-// its slice; the transaction aborts iff any home core saw a conflict. The
-// decomposition is outcome-equivalent to the serial scan (a key lives on
-// exactly one core), version assignment stays on the shared
-// delivery-ordered counter, and SDUR_AUDIT builds cross-check every
-// parallel verdict against the serial scan in place.
+//
+// P-DUR (src/pdur/, arXiv:1312.0742) runs this same certifier at every
+// core count: the verdict is a pure function of delivery order, and the
+// per-core split only decides where the certification time is spent,
+// which pdur::Executor models on the transaction's home cores.
 #pragma once
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <unordered_set>
-#include <vector>
 
-#include "pdur/parallel_window.h"
 #include "sdur/transaction.h"
 #include "storage/cert_index.h"
 #include "util/bloom.h"
@@ -95,17 +89,12 @@ class Certifier {
     util::KeySet write_keys;
   };
 
-  /// `cores > 1` switches certification to the P-DUR per-core windows;
-  /// `cores == 1` (default) is the serial model, bit-identical to before.
   /// `ooo_bypass` arms the out-of-order local-commit gate (park bounds and
   /// the pending-write index); off (default) leaves every bypass structure
   /// untouched — bit-identical legacy behavior.
-  explicit Certifier(std::size_t window_capacity, std::uint32_t cores = 1,
-                     bool ooo_bypass = false)
+  explicit Certifier(std::size_t window_capacity, bool ooo_bypass = false)
       : window_capacity_(window_capacity == 0 ? 1 : window_capacity),
-        ooo_bypass_(ooo_bypass) {
-    if (cores > 1) window_ = std::make_unique<pdur::ParallelWindow>(cores);
-  }
+        ooo_bypass_(ooo_bypass) {}
 
   struct Result {
     Outcome outcome = Outcome::kAbort;
@@ -118,9 +107,6 @@ class Certifier {
     /// True if the abort was caused by the snapshot falling out of the
     /// certification window.
     bool stale_snapshot = false;
-    /// P-DUR: the home cores of the transaction (populated whenever the
-    /// certifier runs in multi-core mode, for every non-stale verdict).
-    std::vector<pdur::CoreId> cores;
     /// Out-of-order bypass: true when a committed local conflicts with a
     /// pending write set and must park (park_until > watermark).
     bool parked = false;
@@ -212,22 +198,24 @@ class Certifier {
 
   void reset();
 
-  /// P-DUR mode (cores > 1 at construction).
-  bool parallel() const { return window_ != nullptr; }
+  // --- Conflict strategies --------------------------------------------------
+  /// The two audit-free answers to "does `t` conflict with any version in
+  /// (st, cc]?", for a snapshot the window covers. process() certifies
+  /// with the indexed one; audit builds re-run the scan beside it. Public
+  /// for the equivalence property tests and bench/cert_perf.
+  /// Indexed strategy: key probes + bloom-suffix scan over the slots.
+  bool indexed_conflict(const PartTx& t, Version st) const;
+  /// The legacy O(window) scan — the reference the index must match.
+  bool scan_conflict(const PartTx& t, Version st) const;
 
  private:
   /// Indexed conflict verdict (audit builds cross-check it against
   /// scan_conflict in place).
   bool has_conflict(const PartTx& t, Version st) const;
-  /// The legacy O(window) scan — the reference the index must match.
-  bool scan_conflict(const PartTx& t, Version st) const;
-  /// Indexed strategy: key probes + bloom-suffix scan over slots_.
-  bool indexed_conflict(const PartTx& t, Version st) const;
   /// slots_ as a record accessor for storage::CertIndex::conflicts().
   struct SlotRecords;
-  /// Rebuilds the per-core lanes and the key index from slots_ (after
-  /// install()).
-  void rebuild_window();
+  /// Rebuilds the key index from slots_ (after install()).
+  void rebuild_index();
 
   // --- Out-of-order local commit internals --------------------------------
   /// Bypass gate trigger: O(sets) probe of the pending-write index — does
@@ -275,9 +263,6 @@ class Certifier {
   storage::CertIndex pending_ws_;
   /// Version of the newest completed global (see bypass_watermark()).
   Version bypass_watermark_ = 0;
-  /// P-DUR per-core windows; null in the serial model. Mirrors slots_
-  /// (projected per core), rebuilt from it on install().
-  std::unique_ptr<pdur::ParallelWindow> window_;
 };
 
 }  // namespace sdur

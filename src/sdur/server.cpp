@@ -21,7 +21,7 @@ Server::Server(sim::Network& net, sim::ProcessId pid, sim::Location loc, ServerC
                    loc),
       cfg_(std::move(cfg)),
       partitioning_(std::move(partitioning)),
-      cert_(cfg_.window_capacity, cfg_.pdur.cores, cfg_.techniques.ooo_bypass),
+      cert_(cfg_.window_capacity, cfg_.techniques.ooo_bypass),
       gsc_(cfg_.num_partitions, 0) {
   set_message_service_time(cfg_.message_service_time);
   trace_track_ = SDUR_TRACE_REGISTER(self(), name(), -1);
@@ -309,10 +309,11 @@ void Server::process_delivery(PartTx t) {
       Outcome vote = Outcome::kAbort;
       Certifier::Result res;
       SDUR_AUDIT(Version audit_version = 0);
-      // Certifier and ParallelWindow attribute their conflict-check
-      // instants to this delivery via the tracer context.
+      // The certifier attributes its conflict-check instants to this
+      // delivery via the tracer context.
       SDUR_TRACE_SET_CONTEXT(trace_track_, t.id, now());
-      if (!poisoned_.contains(t.id)) {
+      const bool poisoned = poisoned_.contains(t.id);
+      if (!poisoned) {
         res = cert_.process(t, rt, dc_);
         vote = res.outcome;
         if (res.stale_snapshot) ++stats_.stale_snapshot_aborts;
@@ -366,7 +367,13 @@ void Server::process_delivery(PartTx t) {
         // pending entry stays not-ready so drain_pending cannot complete
         // it early.
         if (vote == Outcome::kCommit) cert_.at(res.position).ready = false;
-        if (res.cores.size() > 1) {
+        // A verdict that ran the conflict check works on the transaction's
+        // home cores; stale-snapshot and poisoned aborts run on core 0.
+        std::vector<pdur::CoreId> cores;
+        if (!poisoned && !res.stale_snapshot) {
+          cores = executor_->home_cores(t.readset, t.write_keys);
+        }
+        if (cores.size() > 1) {
           ++stats_.pdur_cross_core;
         } else {
           ++stats_.pdur_single_core;
@@ -376,7 +383,6 @@ void Server::process_delivery(PartTx t) {
           work += cfg_.apply_cost_per_write * static_cast<sim::Time>(t.writes.size());
         }
         const Version version = res.version;
-        const std::vector<pdur::CoreId> cores = std::move(res.cores);
         executor_->run(cores, work, [this, t = std::move(t), vote, version] {
           finish_core_work(t, vote, version);
         });

@@ -30,11 +30,9 @@
 //     the caller falls back to the legacy scan for that component.
 //
 // conflicts() composes these pieces into the full A/B verdict over a
-// caller-supplied record accessor, so the three consumers
-// (sdur::Certifier, storage::CommitWindow, the P-DUR
-// pdur::ParallelWindow lanes) share one implementation of the key probes,
-// the bloom-suffix walk and the scan fallback. Each consumer keeps its
-// own legacy scan, which audit builds re-run as the independent reference
+// caller-supplied record accessor: sdur::Certifier hands it its window
+// slots, at every P-DUR core count. The certifier keeps its own legacy
+// scan, which audit builds re-run as the independent reference
 // ("index-scan-equivalence").
 //
 // HASH ONCE. A bloom-suffix walk tests the same exact probe keys against

@@ -54,8 +54,8 @@ enum class Point : std::uint8_t {
   kLaneWork,      // P-DUR core lane: busy on one transaction's work
   kLaneWait,      // P-DUR core lane: rendezvous idle before a barrier
   // Instants.
-  kCertIndexProbe,    // certification served by the key index (aux: lane/depth)
-  kCertScanFallback,  // bloom sets forced the window/lane scan (aux: lane/depth)
+  kCertIndexProbe,    // certification served by the key index (aux: depth)
+  kCertScanFallback,  // bloom sets forced the window scan (aux: depth)
   kVoteFlush,         // vote batcher flushed a queue (id: dest partition, aux: votes)
   kVotePiggyback,     // pending votes rode an outgoing message (aux: votes)
   kTxBypassed,        // local committed past pending entries (aux: entries leaped)
@@ -157,8 +157,8 @@ class Tracer {
 
   // --- Delivery context ----------------------------------------------------
   // The server sets the context while certifying a delivery so layers
-  // without a track id in their signatures (Certifier, ParallelWindow
-  // lanes) can attribute instants without widening any call chain.
+  // without a track id in their signatures (the Certifier) can attribute
+  // instants without widening any call chain.
 
   void set_context(std::uint32_t track, std::uint64_t id, sim::Time t) {
     context_track_ = track;

@@ -3,33 +3,32 @@
 //
 //  * CertIndex units: last-writer/last-reader tracking, eviction erasing
 //    exactly the entries whose newest owner left the window.
-//  * Randomized property: over chaotic histories of commit records (exact,
+//  * Randomized property: over chaotic certification histories (exact,
 //    bloom and mixed-mode windows, eviction pressure), every probe's
-//    indexed verdict equals the scan verdict bit for bit — via the public
-//    CommitWindow conflicts_scan()/conflicts_indexed() split.
+//    indexed verdict equals the scan verdict bit for bit — via the
+//    Certifier's public indexed_conflict()/scan_conflict() pair.
+//  * Window boundaries: the empty window, the exact base, a snapshot of
+//    INT64_MAX, and eviction past capacity.
 //  * Certifier chaos: a continuously-running certifier and one that is
 //    round-tripped through encode()/install() (index rebuilt from the
 //    checkpoint) stay verdict-identical; the in-place audit cross-check
 //    ("index-scan-equivalence") watches every single verdict.
-//  * P-DUR lanes: the per-lane sub-indexes at 1/4/8 cores reproduce the
-//    serial full-set reference, with eviction and clear()+reinsert
-//    (checkpoint-install rebuild) in the loop.
-//  * Golden digest: an end-to-end simulated run (serial+bloom and P-DUR
-//    multi-core) digests replica state against pinned constants — the
-//    indexed engine must not change any simulated result.
+//  * Golden digest: end-to-end simulated runs (serial, bloom, and P-DUR at
+//    4 cores with exact sets, all techniques, or the bypass gate) digest
+//    replica state against pinned constants — the indexed engine must not
+//    change any simulated result.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <random>
 #include <string_view>
 #include <vector>
 
 #include "audit/auditor.h"
-#include "pdur/parallel_window.h"
 #include "sdur/certifier.h"
 #include "storage/cert_index.h"
-#include "storage/commit_window.h"
 #include "util/hash.h"
 #include "workload/driver.h"
 #include "workload/microbench.h"
@@ -95,63 +94,15 @@ util::KeySet make_set(std::mt19937_64& rng, Mode mode, std::uint64_t key_space,
   return util::KeySet::exact(std::move(ks));
 }
 
-class CommitWindowProperty : public ::testing::TestWithParam<Mode> {};
-
-TEST_P(CommitWindowProperty, IndexedVerdictEqualsScanVerdict) {
-  const Mode mode = GetParam();
-  audit::Auditor::instance().reset();
-  std::mt19937_64 rng(0xC0FFEE ^ static_cast<std::uint64_t>(mode));
-
-  constexpr std::uint64_t kKeySpace = 96;  // small: plenty of collisions
-  CommitWindow w(48);                      // eviction pressure after 48 pushes
-  Version next = 1;
-  for (int round = 0; round < 600; ++round) {
-    // Push a record (readsets may be bloom; writesets stay exact, as in the
-    // protocol — but exercise bloom writesets too in mixed mode).
-    CommitRecord rec;
-    rec.txid = static_cast<std::uint64_t>(round);
-    rec.readset = make_set(rng, mode, kKeySpace, 6);
-    rec.writeset = make_set(rng, mode == Mode::kMixed ? Mode::kMixed : Mode::kExact,
-                            kKeySpace, 6);
-    w.push(next++, std::move(rec));
-
-    // Probe with snapshots across the whole covered range, including the
-    // exact window base and the empty suffix at newest.
-    for (int probe = 0; probe < 6; ++probe) {
-      const util::KeySet rs = make_set(rng, mode, kKeySpace, 6);
-      const util::KeySet ws = make_set(rng, Mode::kExact, kKeySpace, 6);
-      const bool global = (rng() & 1) != 0;
-      std::uniform_int_distribution<Version> st_dist(w.oldest() - 1, w.newest());
-      const Version st = st_dist(rng);
-      ASSERT_TRUE(w.covers(st));
-      const bool scan = w.conflicts_scan(rs, ws, global, st);
-      const bool indexed = w.conflicts_indexed(rs, ws, global, st);
-      ASSERT_EQ(scan, indexed)
-          << "mode=" << static_cast<int>(mode) << " round=" << round << " st=" << st
-          << " global=" << global << " window=[" << w.oldest() << "," << w.newest() << "]";
-      ASSERT_EQ(w.conflicts(rs, ws, global, st), scan);
-    }
-  }
-  EXPECT_TRUE(audit::Auditor::instance().clean()) << audit::Auditor::instance().summary();
-}
-
-INSTANTIATE_TEST_SUITE_P(Modes, CommitWindowProperty,
-                         ::testing::Values(Mode::kExact, Mode::kBloom, Mode::kMixed),
-                         [](const auto& param_info) {
-                           switch (param_info.param) {
-                             case Mode::kExact: return "exact";
-                             case Mode::kBloom: return "bloom";
-                             default: return "mixed";
-                           }
-                         });
-
 }  // namespace
 }  // namespace sdur::storage
 
 namespace sdur {
 namespace {
 
-PartTx random_tx(std::mt19937_64& rng, TxId id, storage::Mode mode, std::uint64_t key_space,
+using storage::Mode;
+
+PartTx random_tx(std::mt19937_64& rng, TxId id, Mode mode, std::uint64_t key_space,
                  Version snapshot) {
   PartTx t;
   t.kind = PartTx::Kind::kTxn;
@@ -161,6 +112,152 @@ PartTx random_tx(std::mt19937_64& rng, TxId id, storage::Mode mode, std::uint64_
   t.readset = storage::make_set(rng, mode, key_space, 5);
   t.write_keys = storage::make_set(rng, mode, key_space, 5, /*force_exact=*/true);
   return t;
+}
+
+/// A local that reads and writes exactly `keys`.
+PartTx local_tx(TxId id, std::vector<Key> keys, Version snapshot) {
+  PartTx t;
+  t.kind = PartTx::Kind::kTxn;
+  t.id = id;
+  t.involved = {0};
+  t.snapshot = snapshot;
+  t.readset = util::KeySet::exact(keys);
+  t.write_keys = util::KeySet::exact(std::move(keys));
+  return t;
+}
+
+/// A certifier of capacity `capacity` holding versions 1..n, each resolved
+/// as committed: version v is tx 100 + v, which reads and writes key v.
+Certifier filled_window(std::size_t capacity, Version n) {
+  Certifier c(capacity);
+  for (Version v = 1; v <= n; ++v) {
+    const auto dc = static_cast<std::uint64_t>(v);
+    const Key k = static_cast<Key>(v);
+    c.process(local_tx(100 + k, {k}, c.certified()), dc, dc);
+    c.resolve(c.pop_head(), true);
+  }
+  return c;
+}
+
+/// True when both strategies agree on `t` at `st`; returns that verdict
+/// through `conflict`.
+::testing::AssertionResult strategies_agree(const Certifier& c, const PartTx& t, Version st,
+                                            bool& conflict) {
+  conflict = c.indexed_conflict(t, st);
+  if (conflict == c.scan_conflict(t, st)) return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure()
+         << "indexed says " << (conflict ? "conflict" : "clear") << " at st=" << st
+         << ", the scan disagrees";
+}
+
+/// Randomized property over chaotic certification histories (exact, bloom
+/// and mixed-mode windows, pending and resolved slots, eviction pressure):
+/// every probe's indexed verdict equals the scan verdict bit for bit.
+class CertifierWindowProperty : public ::testing::TestWithParam<Mode> {};
+
+TEST_P(CertifierWindowProperty, IndexedVerdictEqualsScanVerdict) {
+  const Mode mode = GetParam();
+  audit::Auditor::instance().reset();
+  std::mt19937_64 rng(0xC0FFEE ^ static_cast<std::uint64_t>(mode));
+
+  constexpr std::uint64_t kKeySpace = 96;  // small: plenty of collisions
+  Certifier c(48);                         // eviction pressure past 48 resolved slots
+  std::uint64_t dc = 0;
+  for (int round = 0; round < 600; ++round) {
+    // Certify a record at the newest snapshot, so it always commits.
+    // Readsets may be bloom; write keys stay exact, as in the protocol —
+    // but exercise bloom write keys too in mixed mode.
+    PartTx t = random_tx(rng, static_cast<TxId>(round + 1), mode, kKeySpace, c.certified());
+    if (mode == Mode::kMixed) t.write_keys = storage::make_set(rng, Mode::kMixed, kKeySpace, 6);
+    ++dc;
+    ASSERT_EQ(c.process(t, dc, dc).outcome, Outcome::kCommit) << "round " << round;
+    // Resolve a random prefix; the rest stays pending in the window.
+    while (!c.empty() && rng() % 4 != 0) c.resolve(c.pop_head(), (rng() & 1) != 0);
+
+    // Probe with snapshots across the whole covered range, including the
+    // exact window base and the empty suffix at newest.
+    const Version base = c.certified() - static_cast<Version>(c.window_size()) + 1;
+    for (int probe = 0; probe < 6; ++probe) {
+      const PartTx p = random_tx(rng, 0, mode, kKeySpace, 0);
+      std::uniform_int_distribution<Version> st_dist(base - 1, c.certified());
+      const Version st = st_dist(rng);
+      ASSERT_TRUE(c.covers(st));
+      bool conflict = false;
+      ASSERT_TRUE(strategies_agree(c, p, st, conflict))
+          << "mode=" << static_cast<int>(mode) << " round=" << round << " global="
+          << p.is_global() << " window=[" << base << "," << c.certified() << "]";
+    }
+  }
+  EXPECT_TRUE(audit::Auditor::instance().clean()) << audit::Auditor::instance().summary();
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, CertifierWindowProperty,
+                         ::testing::Values(Mode::kExact, Mode::kBloom, Mode::kMixed),
+                         [](const auto& param_info) {
+                           switch (param_info.param) {
+                             case Mode::kExact: return "exact";
+                             case Mode::kBloom: return "bloom";
+                             default: return "mixed";
+                           }
+                         });
+
+// --- Window boundaries ---------------------------------------------------------
+
+TEST(CertifierWindow, EmptyWindowCoversEverySnapshot) {
+  const Certifier c(4);
+  EXPECT_TRUE(c.covers(0));
+  EXPECT_TRUE(c.covers(-1));
+  EXPECT_TRUE(c.covers(std::numeric_limits<Version>::max()));
+  bool conflict = true;
+  EXPECT_TRUE(strategies_agree(c, local_tx(1, {1}, 0), 0, conflict));
+  EXPECT_FALSE(conflict);
+}
+
+TEST(CertifierWindow, ExactBaseBoundary) {
+  const Certifier c = filled_window(3, 5);
+  // The window holds [3, 5]. st == base - 1 == 2 is the oldest coverable
+  // snapshot, and certification must see the whole window from the base.
+  ASSERT_EQ(c.window_size(), 3u);
+  EXPECT_TRUE(c.covers(2));
+  EXPECT_FALSE(c.covers(1));
+  bool conflict = false;
+  EXPECT_TRUE(strategies_agree(c, local_tx(1, {3}, 2), 2, conflict));
+  EXPECT_TRUE(conflict) << "the write at the base version is newer than st";
+  EXPECT_TRUE(strategies_agree(c, local_tx(1, {3}, 3), 3, conflict));
+  EXPECT_FALSE(conflict) << "st == base: the base version is inside the snapshot";
+}
+
+TEST(CertifierWindow, MaxSnapshotDoesNotOverflow) {
+  Certifier c = filled_window(3, 5);
+  const Version huge = std::numeric_limits<Version>::max();
+  // st >= newest: nothing to check, and st + 1 must never be computed.
+  EXPECT_TRUE(c.covers(huge));
+  PartTx g = local_tx(1, {5}, huge);
+  g.involved = {0, 1};
+  bool conflict = true;
+  EXPECT_TRUE(strategies_agree(c, g, huge, conflict));
+  EXPECT_FALSE(conflict);
+  const Certifier::Result r = c.process(g, 6, 6);
+  EXPECT_EQ(r.outcome, Outcome::kCommit);
+  EXPECT_FALSE(r.stale_snapshot);
+}
+
+TEST(CertifierWindow, CapacityEvictsOldest) {
+  // Resolve far past capacity, then check the surviving slots are exactly
+  // the newest `capacity` ones and the key index forgot the evicted ones.
+  const Certifier c = filled_window(4, 23);
+  EXPECT_EQ(c.window_size(), 4u);
+  EXPECT_EQ(c.slot(19), nullptr);
+  ASSERT_NE(c.slot(20), nullptr);
+  EXPECT_EQ(c.slot(20)->txid, 120u);
+  EXPECT_EQ(c.slot(23)->txid, 123u);
+  EXPECT_TRUE(c.covers(19));
+  EXPECT_FALSE(c.covers(18));
+  bool conflict = true;
+  EXPECT_TRUE(strategies_agree(c, local_tx(1, {19}, 19), 19, conflict));
+  EXPECT_FALSE(conflict);
+  EXPECT_TRUE(strategies_agree(c, local_tx(1, {21}, 19), 19, conflict));
+  EXPECT_TRUE(conflict);
 }
 
 /// A continuously-running certifier and one round-tripped through
@@ -205,82 +302,6 @@ TEST(CertifierIndex, InstallRebuildKeepsVerdicts) {
 
 }  // namespace
 }  // namespace sdur
-
-namespace sdur::pdur {
-namespace {
-
-/// Brute-force serial reference over the full (unprojected) record sets.
-struct RefRecord {
-  storage::Version version;
-  util::KeySet rs;
-  util::KeySet ws;
-};
-
-bool reference_conflict(const std::vector<RefRecord>& recs, const util::KeySet& rs,
-                        const util::KeySet& ws, bool global, storage::Version st) {
-  for (const RefRecord& r : recs) {
-    if (r.version <= st) continue;
-    if (rs.intersects(r.ws)) return true;
-    if (global && ws.intersects(r.rs)) return true;
-  }
-  return false;
-}
-
-class ParallelWindowIndex : public ::testing::TestWithParam<CoreId> {};
-
-TEST_P(ParallelWindowIndex, LaneSubIndexesMatchSerialReference) {
-  const CoreId cores = GetParam();
-  audit::Auditor::instance().reset();
-  for (const storage::Mode mode :
-       {storage::Mode::kExact, storage::Mode::kBloom, storage::Mode::kMixed}) {
-    std::mt19937_64 rng(0xFEED ^ (static_cast<std::uint64_t>(mode) << 8) ^ cores);
-    ParallelWindow w(cores);
-    std::vector<RefRecord> recs;
-    storage::Version base = 1;
-    storage::Version next = 1;
-    for (int round = 0; round < 300; ++round) {
-      const util::KeySet rs = storage::make_set(rng, mode, 64, 5);
-      const util::KeySet ws = storage::make_set(rng, mode, 64, 5, /*force_exact=*/true);
-      const storage::Version v = next++;
-      w.insert(v, rs, ws, w.partitioner().home_cores(rs, ws));
-      recs.push_back(RefRecord{v, rs, ws});
-
-      if (recs.size() > 40) {  // window eviction
-        base = recs.front().version + 1;
-        w.evict_below(base);
-        recs.erase(recs.begin());
-      }
-      if (round % 97 == 0) {  // checkpoint-install rebuild: clear + reinsert
-        w.clear();
-        for (const RefRecord& r : recs) {
-          w.insert(r.version, r.rs, r.ws, w.partitioner().home_cores(r.rs, r.ws));
-        }
-      }
-
-      for (int probe = 0; probe < 4; ++probe) {
-        const util::KeySet prs = storage::make_set(rng, mode, 64, 5);
-        const util::KeySet pws = storage::make_set(rng, mode, 64, 5, /*force_exact=*/true);
-        const bool global = (rng() & 1) != 0;
-        std::uniform_int_distribution<storage::Version> st_dist(base - 1, next - 1);
-        const storage::Version st = st_dist(rng);
-        const auto home = w.partitioner().home_cores(prs, pws);
-        ASSERT_EQ(w.conflicts(prs, pws, global, home, st),
-                  reference_conflict(recs, prs, pws, global, st))
-            << "cores=" << cores << " mode=" << static_cast<int>(mode) << " round=" << round
-            << " st=" << st;
-      }
-    }
-  }
-  EXPECT_TRUE(audit::Auditor::instance().clean()) << audit::Auditor::instance().summary();
-}
-
-INSTANTIATE_TEST_SUITE_P(Cores, ParallelWindowIndex, ::testing::Values(1u, 4u, 8u),
-                         [](const auto& param_info) {
-                           return "c" + std::to_string(param_info.param);
-                         });
-
-}  // namespace
-}  // namespace sdur::pdur
 
 namespace sdur::workload {
 namespace {
@@ -376,7 +397,8 @@ TEST(CertIndexGolden, PdurAllOnResultsUnchanged) {
   TechniqueConfig t = *TechniqueConfig::preset("all-on");
   t.bloom_fp_rate = 0.02;
   const GoldenOut r = run_golden(t, 4);
-  EXPECT_EQ(r.digest, 0x0640e9ea8752c979ULL) << "all-on/pdur4 digest changed: 0x" << std::hex << r.digest;
+  EXPECT_EQ(r.digest, 0x0640e9ea8752c979ULL)
+      << "all-on/pdur4 digest changed: 0x" << std::hex << r.digest;
   EXPECT_TRUE(audit::Auditor::instance().clean()) << audit::Auditor::instance().summary();
 }
 
@@ -390,7 +412,8 @@ TEST(CertIndexGolden, PdurBypassCheckpointResultsUnchanged) {
   t.ooo_bypass = true;
   const GoldenOut r = run_golden(t, 4, sim::msec(200), /*loss_rate=*/0.01);
   EXPECT_GT(r.stats.parked_locals, 0u) << "the pending-write gate never fired";
-  EXPECT_EQ(r.digest, 0xc922b3c97074142dULL) << "bypass/pdur4 digest changed: 0x" << std::hex << r.digest;
+  EXPECT_EQ(r.digest, 0xc922b3c97074142dULL)
+      << "bypass/pdur4 digest changed: 0x" << std::hex << r.digest;
   EXPECT_TRUE(audit::Auditor::instance().clean()) << audit::Auditor::instance().summary();
 }
 

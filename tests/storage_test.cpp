@@ -1,14 +1,10 @@
-// Unit tests for the storage layer: multiversion store and the
-// certification commit window.
+// Unit tests for the storage layer: the multiversion store and its flat
+// hash table.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <limits>
 #include <string>
-#include <vector>
 
-#include "audit/auditor.h"
-#include "storage/commit_window.h"
 #include "storage/flat_table.h"
 #include "storage/mvstore.h"
 #include "util/bytes.h"
@@ -84,151 +80,6 @@ TEST(MVStore, VersionsOfExposesOrder) {
   EXPECT_EQ((*versions)[0].version, 1);
   EXPECT_EQ((*versions)[1].version, 2);
   EXPECT_EQ(s.versions_of(8), nullptr);
-}
-
-CommitRecord rec(std::uint64_t id, std::vector<std::uint64_t> rs, std::vector<std::uint64_t> ws) {
-  return CommitRecord{id, false, util::KeySet::exact(std::move(rs)),
-                      util::KeySet::exact(std::move(ws))};
-}
-
-TEST(CommitWindow, ScanAfterVisitsOnlyNewerCommits) {
-  CommitWindow w(10);
-  w.push(1, rec(101, {1}, {1}));
-  w.push(2, rec(102, {2}, {2}));
-  w.push(3, rec(103, {3}, {3}));
-
-  std::vector<std::uint64_t> seen;
-  w.scan_after(1, [&](const CommitRecord& r) {
-    seen.push_back(r.txid);
-    return true;
-  });
-  EXPECT_EQ(seen, (std::vector<std::uint64_t>{102, 103}));
-}
-
-TEST(CommitWindow, ScanStopsEarly) {
-  CommitWindow w(10);
-  w.push(1, rec(101, {}, {}));
-  w.push(2, rec(102, {}, {}));
-  int visits = 0;
-  const bool complete = w.scan_after(0, [&](const CommitRecord&) {
-    ++visits;
-    return false;
-  });
-  EXPECT_FALSE(complete);
-  EXPECT_EQ(visits, 1);
-}
-
-TEST(CommitWindow, CapacityEvictsOldest) {
-  CommitWindow w(3);
-  for (Version v = 1; v <= 5; ++v) w.push(v, rec(100 + static_cast<std::uint64_t>(v), {}, {}));
-  EXPECT_EQ(w.size(), 3u);
-  EXPECT_EQ(w.oldest(), 3);
-  EXPECT_EQ(w.newest(), 5);
-}
-
-TEST(CommitWindow, CoversTracksEviction) {
-  CommitWindow w(3);
-  EXPECT_TRUE(w.covers(0));
-  for (Version v = 1; v <= 5; ++v) w.push(v, rec(1, {}, {}));
-  EXPECT_TRUE(w.covers(2)) << "commits (2, 5] are all present";
-  EXPECT_TRUE(w.covers(4));
-  EXPECT_FALSE(w.covers(1)) << "commit at version 2 was evicted";
-}
-
-TEST(CommitWindow, NonContiguousPushThrows) {
-  CommitWindow w(10);
-  w.push(1, rec(1, {}, {}));
-  EXPECT_THROW(w.push(3, rec(2, {}, {})), std::logic_error);
-}
-
-// --- Hardened covers()/scan_after() boundaries -------------------------------
-
-TEST(CommitWindow, EmptyWindowCoversEverySnapshot) {
-  CommitWindow w(4);
-  EXPECT_TRUE(w.covers(0));
-  EXPECT_TRUE(w.covers(-1));
-  EXPECT_TRUE(w.covers(std::numeric_limits<Version>::max()));
-  int visits = 0;
-  EXPECT_TRUE(w.scan_after(0, [&](const CommitRecord&) {
-    ++visits;
-    return true;
-  }));
-  EXPECT_EQ(visits, 0);
-}
-
-TEST(CommitWindow, ExactBaseBoundary) {
-  CommitWindow w(3);
-  for (Version v = 1; v <= 5; ++v) w.push(v, rec(static_cast<std::uint64_t>(v), {}, {}));
-  // Window holds [3, 5]. st == base - 1 == 2 is the oldest coverable
-  // snapshot: the scan must visit the whole window, starting at the base.
-  ASSERT_EQ(w.oldest(), 3);
-  EXPECT_TRUE(w.covers(2));
-  std::vector<std::uint64_t> seen;
-  w.scan_after(2, [&](const CommitRecord& r) {
-    seen.push_back(r.txid);
-    return true;
-  });
-  EXPECT_EQ(seen, (std::vector<std::uint64_t>{3, 4, 5}));
-}
-
-TEST(CommitWindow, PredatesWindowIsAnAuditViolation) {
-  audit::Auditor::instance().reset();
-  CommitWindow w(3);
-  for (Version v = 1; v <= 5; ++v) w.push(v, rec(static_cast<std::uint64_t>(v), {}, {}));
-  ASSERT_FALSE(w.covers(1));
-  ASSERT_TRUE(audit::Auditor::instance().clean());
-  // The scan still clamps to the base (callers must check covers() first),
-  // but the silent clamp is now an audited precondition violation.
-  int visits = 0;
-  w.scan_after(1, [&](const CommitRecord&) {
-    ++visits;
-    return true;
-  });
-  EXPECT_EQ(visits, 3);
-#if SDUR_AUDIT_ON
-  EXPECT_FALSE(audit::Auditor::instance().clean());
-  ASSERT_EQ(audit::Auditor::instance().violations().size(), 1u);
-  EXPECT_EQ(audit::Auditor::instance().violations().front().invariant, "scan-covers-precondition");
-#endif
-  audit::Auditor::instance().reset();
-}
-
-TEST(CommitWindow, MaxSnapshotDoesNotOverflow) {
-  CommitWindow w(3);
-  for (Version v = 1; v <= 5; ++v) w.push(v, rec(static_cast<std::uint64_t>(v), {}, {}));
-  const Version huge = std::numeric_limits<Version>::max();
-  // st >= newest: nothing to scan, and st + 1 must never be computed.
-  EXPECT_TRUE(w.covers(huge));
-  int visits = 0;
-  EXPECT_TRUE(w.scan_after(huge, [&](const CommitRecord&) {
-    ++visits;
-    return true;
-  }));
-  EXPECT_EQ(visits, 0);
-  EXPECT_FALSE(w.conflicts_scan(util::KeySet::exact({1}), util::KeySet::exact({1}), true, huge));
-  EXPECT_FALSE(w.conflicts_indexed(util::KeySet::exact({1}), util::KeySet::exact({1}), true, huge));
-}
-
-TEST(CommitWindow, ArenaRecyclingKeepsRecordsIntact) {
-  // Push far past capacity so every ring slot is recycled repeatedly, then
-  // check the surviving records are exactly the newest `capacity` ones.
-  CommitWindow w(4);
-  for (Version v = 1; v <= 23; ++v) {
-    w.push(v, rec(static_cast<std::uint64_t>(100 + v),
-                  {static_cast<std::uint64_t>(v)}, {static_cast<std::uint64_t>(v)}));
-  }
-  EXPECT_EQ(w.size(), 4u);
-  EXPECT_EQ(w.oldest(), 20);
-  EXPECT_EQ(w.newest(), 23);
-  std::vector<std::uint64_t> seen;
-  w.scan_after(w.oldest() - 1, [&](const CommitRecord& r) {
-    seen.push_back(r.txid);
-    return true;
-  });
-  EXPECT_EQ(seen, (std::vector<std::uint64_t>{120, 121, 122, 123}));
-  // The index tracked eviction: only the surviving writers conflict.
-  EXPECT_FALSE(w.conflicts(util::KeySet::exact({19}), util::KeySet::exact({}), false, 19));
-  EXPECT_TRUE(w.conflicts(util::KeySet::exact({21}), util::KeySet::exact({}), false, 19));
 }
 
 // --- FlatTable / VersionChain hot-path structures ----------------------------

@@ -211,8 +211,8 @@ RULES = [
          "src/trace/ record*/emit*/append* span-emit bodies, or "
          "src/util/bloom.cpp may_contain*/intersects*/disjoint probe bodies",
          lambda ctx: (f for f in run_hotpath_hygiene(ctx) if f.rule == "hotpath-alloc"),
-         suggestion="preallocate outside the certification path (arena/ring "
-                    "patterns, see storage/commit_window.h)"),
+         suggestion="preallocate outside the certification path (reuse a member "
+                    "buffer sized once, not one allocated per call)"),
     Rule("hotpath-container-copy",
          "no container deep-copies (locals copy-initialized from lvalues, "
          "by-value container parameters) in hot certification, "

@@ -4,16 +4,16 @@ graphs, plus file-level include-cycle detection.
 The enforced DAG (see DESIGN.md "Static analysis"):
 
     util <- audit <- sim <- storage <- paxos
-                      ^       ^          ^
-                      |       |          |
+                      ^                  ^
+                      |                  |
                     trace   pdur <---- sdur <- workload
 
 i.e. each layer may include only the layers listed for it below. This
 refines the coarse sketch `util <- sim <- {storage, workload} <- paxos
 <- sdur <- pdur` with the facts of this codebase: `audit` is the
 cross-cutting invariant layer (includes only util, includable from any
-protocol layer); `pdur` sits *below* `sdur` (sdur::Certifier drives the
-per-core lanes, not the other way around); `trace` is the observability
+protocol layer); `pdur` sits *below* `sdur` (sdur::Server drives the
+core executor, not the other way around); `trace` is the observability
 layer — it sees util and sim (for sim::Time) and every protocol layer
 may include it, but `sim` itself must never depend on trace (the
 simulator's schedule cannot be influenced by whether tracing is
@@ -35,7 +35,7 @@ ALLOWED_DEPS: dict[str, set[str]] = {
     "trace": {"util", "sim"},
     "storage": {"util", "audit", "sim"},
     "paxos": {"util", "audit", "sim", "storage", "trace"},
-    "pdur": {"util", "audit", "sim", "storage", "trace"},
+    "pdur": {"util", "audit", "sim", "trace"},
     "sdur": {"util", "audit", "sim", "storage", "paxos", "pdur", "trace"},
     "workload": {"util", "audit", "sim", "storage", "sdur", "pdur", "trace"},
 }
@@ -139,7 +139,8 @@ def run_include_cycle(ctx: Context):
 RULES = [
     Rule("layering",
          "src/ dependency DAG enforced from actual #include graphs "
-         "(util <- audit <- sim <- {trace, storage} <- {paxos, pdur} <- sdur "
+         "(util <- audit <- sim <- {trace, storage, pdur}; storage <- paxos; "
+         "{paxos, pdur} <- sdur "
          "<- workload; sim never includes trace)",
          run_layering,
          suggestion="move the shared type down a layer, or invert the dependency "
