@@ -139,15 +139,11 @@ Certifier filled_window(std::size_t capacity, Version n) {
   return c;
 }
 
-/// True when both strategies agree on `t` at `st`; returns that verdict
-/// through `conflict`.
-::testing::AssertionResult strategies_agree(const Certifier& c, const PartTx& t, Version st,
-                                            bool& conflict) {
-  conflict = c.indexed_conflict(t, st);
-  if (conflict == c.scan_conflict(t, st)) return ::testing::AssertionSuccess();
-  return ::testing::AssertionFailure()
-         << "indexed says " << (conflict ? "conflict" : "clear") << " at st=" << st
-         << ", the scan disagrees";
+/// The indexed verdict for `t` at `st`, after checking the scan agrees.
+bool checked_verdict(const Certifier& c, const PartTx& t, Version st) {
+  const bool indexed = c.indexed_conflict(t, st);
+  EXPECT_EQ(indexed, c.scan_conflict(t, st)) << "st=" << st;
+  return indexed;
 }
 
 /// Randomized property over chaotic certification histories (exact, bloom
@@ -182,10 +178,9 @@ TEST_P(CertifierWindowProperty, IndexedVerdictEqualsScanVerdict) {
       std::uniform_int_distribution<Version> st_dist(base - 1, c.certified());
       const Version st = st_dist(rng);
       ASSERT_TRUE(c.covers(st));
-      bool conflict = false;
-      ASSERT_TRUE(strategies_agree(c, p, st, conflict))
-          << "mode=" << static_cast<int>(mode) << " round=" << round << " global="
-          << p.is_global() << " window=[" << base << "," << c.certified() << "]";
+      ASSERT_EQ(c.indexed_conflict(p, st), c.scan_conflict(p, st))
+          << "mode=" << static_cast<int>(mode) << " round=" << round << " st=" << st
+          << " global=" << p.is_global() << " window=[" << base << "," << c.certified() << "]";
     }
   }
   EXPECT_TRUE(audit::Auditor::instance().clean()) << audit::Auditor::instance().summary();
@@ -208,9 +203,7 @@ TEST(CertifierWindow, EmptyWindowCoversEverySnapshot) {
   EXPECT_TRUE(c.covers(0));
   EXPECT_TRUE(c.covers(-1));
   EXPECT_TRUE(c.covers(std::numeric_limits<Version>::max()));
-  bool conflict = true;
-  EXPECT_TRUE(strategies_agree(c, local_tx(1, {1}, 0), 0, conflict));
-  EXPECT_FALSE(conflict);
+  EXPECT_FALSE(checked_verdict(c, local_tx(1, {1}, 0), 0));
 }
 
 TEST(CertifierWindow, ExactBaseBoundary) {
@@ -220,11 +213,10 @@ TEST(CertifierWindow, ExactBaseBoundary) {
   ASSERT_EQ(c.window_size(), 3u);
   EXPECT_TRUE(c.covers(2));
   EXPECT_FALSE(c.covers(1));
-  bool conflict = false;
-  EXPECT_TRUE(strategies_agree(c, local_tx(1, {3}, 2), 2, conflict));
-  EXPECT_TRUE(conflict) << "the write at the base version is newer than st";
-  EXPECT_TRUE(strategies_agree(c, local_tx(1, {3}, 3), 3, conflict));
-  EXPECT_FALSE(conflict) << "st == base: the base version is inside the snapshot";
+  EXPECT_TRUE(checked_verdict(c, local_tx(1, {3}, 2), 2))
+      << "the write at the base version is newer than st";
+  EXPECT_FALSE(checked_verdict(c, local_tx(1, {3}, 3), 3))
+      << "st == base: the base version is inside the snapshot";
 }
 
 TEST(CertifierWindow, MaxSnapshotDoesNotOverflow) {
@@ -234,9 +226,7 @@ TEST(CertifierWindow, MaxSnapshotDoesNotOverflow) {
   EXPECT_TRUE(c.covers(huge));
   PartTx g = local_tx(1, {5}, huge);
   g.involved = {0, 1};
-  bool conflict = true;
-  EXPECT_TRUE(strategies_agree(c, g, huge, conflict));
-  EXPECT_FALSE(conflict);
+  EXPECT_FALSE(checked_verdict(c, g, huge));
   const Certifier::Result r = c.process(g, 6, 6);
   EXPECT_EQ(r.outcome, Outcome::kCommit);
   EXPECT_FALSE(r.stale_snapshot);
@@ -244,7 +234,8 @@ TEST(CertifierWindow, MaxSnapshotDoesNotOverflow) {
 
 TEST(CertifierWindow, CapacityEvictsOldest) {
   // Resolve far past capacity, then check the surviving slots are exactly
-  // the newest `capacity` ones and the key index forgot the evicted ones.
+  // the newest `capacity` ones, and that certification at the oldest
+  // coverable snapshot sees a survivor's write.
   const Certifier c = filled_window(4, 23);
   EXPECT_EQ(c.window_size(), 4u);
   EXPECT_EQ(c.slot(19), nullptr);
@@ -253,11 +244,8 @@ TEST(CertifierWindow, CapacityEvictsOldest) {
   EXPECT_EQ(c.slot(23)->txid, 123u);
   EXPECT_TRUE(c.covers(19));
   EXPECT_FALSE(c.covers(18));
-  bool conflict = true;
-  EXPECT_TRUE(strategies_agree(c, local_tx(1, {19}, 19), 19, conflict));
-  EXPECT_FALSE(conflict);
-  EXPECT_TRUE(strategies_agree(c, local_tx(1, {21}, 19), 19, conflict));
-  EXPECT_TRUE(conflict);
+  EXPECT_FALSE(checked_verdict(c, local_tx(1, {19}, 19), 19));
+  EXPECT_TRUE(checked_verdict(c, local_tx(1, {21}, 19), 19));
 }
 
 /// A continuously-running certifier and one round-tripped through

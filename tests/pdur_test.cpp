@@ -37,19 +37,6 @@ TEST(CorePartitioner, EveryKeyHasExactlyOneHomeCore) {
   }
 }
 
-TEST(CorePartitioner, KeysOfFiltersToOwnCore) {
-  pdur::CorePartitioner part(3);
-  std::vector<std::uint64_t> keys;
-  for (Key k = 0; k < 200; ++k) keys.push_back(k);
-  std::size_t total = 0;
-  for (pdur::CoreId c = 0; c < 3; ++c) {
-    const auto mine = part.keys_of(keys, c);
-    total += mine.size();
-    for (std::uint64_t k : mine) EXPECT_EQ(part.core_of(k), c);
-  }
-  EXPECT_EQ(total, keys.size());  // the sub-partition is a partition
-}
-
 TEST(CorePartitioner, SpreadIsRoughlyUniform) {
   pdur::CorePartitioner part(8);
   std::vector<std::size_t> counts(8, 0);
