@@ -78,9 +78,10 @@ struct ServerConfig {
   /// Base per-message handling cost.
   sim::Time message_service_time = sim::usec(15);
 
-  /// P-DUR multi-core replica model (src/pdur/). pdur.cores > 1 enables
-  /// per-core parallel certification/execution; 1 keeps the legacy serial
-  /// replica, bit-identical to earlier builds.
+  /// P-DUR multi-core replica model (src/pdur/). pdur.cores > 1 charges
+  /// certification/execution time to the transactions' home cores in
+  /// parallel (the verdicts stay the serial certifier's); 1 keeps the
+  /// legacy serial replica, bit-identical to earlier builds.
   pdur::Config pdur;
 
   // --- Routing (filled in by the deployment builder) ------------------------

@@ -58,7 +58,6 @@ void CertIndex::clear() {
 
 bool CertIndex::reads_conflict(const util::KeySet& readset, Version st) const {
   for (std::uint64_t k : readset.keys()) {
-    ++probes_;
     const Entry* e = table_.find(k);
     if (e != nullptr && e->writer > st) return true;
   }
@@ -67,7 +66,6 @@ bool CertIndex::reads_conflict(const util::KeySet& readset, Version st) const {
 
 bool CertIndex::writes_conflict(const util::KeySet& writeset, Version st) const {
   for (std::uint64_t k : writeset.keys()) {
-    ++probes_;
     const Entry* e = table_.find(k);
     if (e != nullptr && e->reader > st) return true;
   }

@@ -141,8 +141,6 @@ class CertIndex {
 
   /// Distinct keys currently indexed (metrics / tests).
   std::size_t key_count() const { return table_.size(); }
-  /// Cumulative key probes served (cost metric for benches).
-  std::uint64_t probes() const { return probes_; }
 
  private:
   /// The bloom-suffix walk: true iff the exact `probe` intersects the
@@ -173,7 +171,6 @@ class CertIndex {
   FlatTable<Entry> table_;
   std::deque<Version> bloom_rs_;
   std::deque<Version> bloom_ws_;
-  mutable std::uint64_t probes_ = 0;
 };
 
 }  // namespace sdur::storage
